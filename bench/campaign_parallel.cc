@@ -16,7 +16,7 @@
 #include <thread>
 #include <vector>
 
-#include "apps/common/bug_campaign.h"
+#include "apps/common/campaign_driver.h"
 #include "bench_args.h"
 
 namespace {
@@ -25,10 +25,18 @@ double RunOnce(int workers, size_t* bugs_out) {
   auto start = std::chrono::steady_clock::now();
   // Exhaustive mode: every worker count executes the identical scenario set
   // (no early exit), so this measures throughput, not luck.
-  std::vector<lfi::FoundBug> bugs =
-      lfi::RunFullCampaign({.workers = workers, .exhaustive = true});
+  std::string error;
+  auto outcome = lfi::CampaignDriver({.system = "all",
+                                      .mode = lfi::CampaignMode::kTable1,
+                                      .exhaustive = true,
+                                      .workers = workers})
+                     .Run(&error);
   auto end = std::chrono::steady_clock::now();
-  *bugs_out = bugs.size();
+  if (!outcome) {
+    std::fprintf(stderr, "campaign failed: %s\n", error.c_str());
+    std::exit(1);
+  }
+  *bugs_out = outcome->bugs.size();
   return std::chrono::duration<double>(end - start).count();
 }
 

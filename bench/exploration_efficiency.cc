@@ -21,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "apps/common/bug_campaign.h"
+#include "apps/common/campaign_driver.h"
 
 int main(int argc, char** argv) {
   uint64_t seed = 1;
@@ -55,18 +55,22 @@ int main(int argc, char** argv) {
     size_t exhaustive_recovery = 0;
     for (lfi::ExploreStrategy strategy : strategies) {
       for (size_t budget : budgets) {
-        lfi::ExploreConfig config;
-        config.strategy = strategy;
-        config.budget = budget;
-        config.seed = seed;
+        lfi::CampaignSpec spec{.system = system,
+                               .mode = lfi::CampaignMode::kExplore,
+                               .strategy = strategy,
+                               .budget = budget,
+                               .seed = seed};
         if (!journal_prefix.empty() && budget == budgets.back()) {
-          config.journal_path = journal_prefix + "-" + system + "-" +
-                                lfi::ExploreStrategyName(strategy) + ".xml";
-          std::remove(config.journal_path.c_str());
+          spec.journal_path = journal_prefix + "-" + system + "-" +
+                              lfi::ExploreStrategyName(strategy) + ".xml";
+          std::remove(spec.journal_path.c_str());
         }
-        auto result = lfi::ExploreCampaign(system, config);
+        std::string error;
+        auto result = lfi::CampaignDriver(spec).Run(&error);
         if (!result) {
-          continue;
+          std::fprintf(stderr, "%s %s: %s\n", system, lfi::ExploreStrategyName(strategy),
+                       error.c_str());
+          return 1;
         }
         lfi::CoverageMap::Stats stats = result->coverage.ComputeStats();
         std::printf("%-7s %-11s %-8zu %-10zu %-10zu %zu/%zu\n", system,

@@ -6,15 +6,24 @@
 // discovered bug list. The paper reports 11 previously unknown bugs.
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
-#include "apps/common/bug_campaign.h"
+#include "apps/common/campaign_driver.h"
 
 int main() {
   std::printf("=== Table 1: bugs found automatically by LFI ===\n\n");
   std::printf("%-8s %-22s %-55s %s\n", "System", "Failure", "Where", "Exposing fault");
   std::printf("%.120s\n", "-------------------------------------------------------------------"
                           "-----------------------------------------------------");
-  auto bugs = lfi::RunFullCampaign();
+  std::string error;
+  auto outcome =
+      lfi::CampaignDriver({.system = "all", .mode = lfi::CampaignMode::kTable1}).Run(&error);
+  if (!outcome) {
+    std::fprintf(stderr, "campaign failed: %s\n", error.c_str());
+    return 1;
+  }
+  const std::vector<lfi::FoundBug>& bugs = outcome->bugs;
   for (const auto& bug : bugs) {
     std::printf("%-8s %-22s %-55s %s\n", bug.system.c_str(), bug.kind.c_str(),
                 bug.where.c_str(), bug.injected.c_str());

@@ -99,7 +99,6 @@
 #include "analysis/callsite_analyzer.h"
 #include "apps/bfs/bfs.h"
 #include "apps/bind/bind.h"
-#include "apps/common/bug_campaign.h"
 #include "apps/common/campaign_driver.h"
 #include "apps/common/campaign_spec.h"
 #include "apps/git/git.h"

@@ -17,7 +17,6 @@
 
 #include "apps/bfs/bfs.h"
 #include "apps/bind/bind.h"
-#include "apps/common/bug_campaign.h"
 #include "apps/common/shard_supervisor.h"
 #include "apps/common/warm_targets.h"
 #include "apps/git/git.h"
@@ -167,9 +166,8 @@ std::vector<CampaignJob> BfsTable1Jobs(bool exhaustive, ExecutionLayer& exec) {
 
 // --- the system table -------------------------------------------------------
 
-// Everything system-specific the driver needs, in one row per target. This
-// is the one copy of the dispatch lfi_tool and bug_campaign.cc used to
-// repeat as parallel if-chains.
+// Everything system-specific the driver needs, in one row per target: the
+// one copy of the per-system dispatch.
 struct SystemEntry {
   const char* name;
   const AppBinary& (*binary)();
@@ -294,12 +292,12 @@ void ConfigureAnalysisCacheDir(const std::string& journal_path) {
 #endif
 }
 
-CampaignOutcome FromExploration(ExplorationResult result, const CampaignSpec& spec) {
+CampaignOutcome FromExploration(ExplorationResult result, const std::string& journal_path) {
   CampaignOutcome outcome;
   outcome.bugs = std::move(result.bugs);
   outcome.coverage = std::move(result.coverage);
   outcome.scenarios_run = result.scenarios_run;
-  outcome.journal_path = spec.journal_path;
+  outcome.journal_path = journal_path;
   return outcome;
 }
 
@@ -408,9 +406,9 @@ std::optional<CampaignOutcome> CampaignDriver::RunTable1(std::string* error) {
   ExhaustiveSource source(std::move(jobs));
   if (spec_.shard_index != CampaignSpec::kNoShard) {
     ShardSource sharded(source, spec_.shard_index, spec_.shard_count);
-    return FromExploration(engine.Run(sharded, exec.runner()), spec_);
+    return FromExploration(engine.Run(sharded, exec.runner()), spec_.journal_path);
   }
-  return FromExploration(engine.Run(source, exec.runner()), spec_);
+  return FromExploration(engine.Run(source, exec.runner()), spec_.journal_path);
 }
 
 std::optional<CampaignOutcome> CampaignDriver::RunExplore(std::string* error) {
@@ -427,9 +425,9 @@ std::optional<CampaignOutcome> CampaignDriver::RunExplore(std::string* error) {
   auto run = [&](ScenarioSource& source) -> CampaignOutcome {
     if (spec_.shard_index != CampaignSpec::kNoShard) {
       ShardSource sharded(source, spec_.shard_index, spec_.shard_count);
-      return FromExploration(engine.Run(sharded, exec.runner()), spec_);
+      return FromExploration(engine.Run(sharded, exec.runner()), spec_.journal_path);
     }
-    return FromExploration(engine.Run(source, exec.runner()), spec_);
+    return FromExploration(engine.Run(source, exec.runner()), spec_.journal_path);
   };
   switch (spec_.strategy) {
     case ExploreStrategy::kExhaustive: {
@@ -684,17 +682,7 @@ std::optional<CampaignOutcome> CampaignDriver::RunShardOrchestration(std::string
     return std::nullopt;
   }
 
-  JournalMetadata metadata;
-  std::vector<MergeInputStats> stats;
-  auto merged =
-      MergeJournals(shard_paths, spec_.journal_path, error, &metadata, &stats, spec_.format);
-  if (!merged) {
-    return std::nullopt;
-  }
-  CampaignOutcome outcome = FromExploration(std::move(*merged), spec_);
-  outcome.metadata = std::move(metadata);
-  outcome.shards = std::move(stats);
-  return outcome;
+  return MergeCampaignJournals(shard_paths, spec_.journal_path, error, spec_.format);
 }
 
 bool CampaignDriver::RunShardChildren(const std::vector<CampaignSpec>& children,
@@ -738,12 +726,10 @@ std::optional<CampaignOutcome> CampaignDriver::RunEpochOrchestration(std::string
     if (!journal) {
       return std::nullopt;
     }
-    for (const auto& [key, value] : spec_.ToJournalMeta()) {
-      std::string recorded = journal->Meta(key, "");
-      if (recorded != value) {
-        return fail("journal " + spec_.journal_path + " records a campaign with " + key +
-                    "='" + recorded + "', not '" + value + "'; resuming it would diverge");
-      }
+    std::string mismatch =
+        CampaignIdentityMismatch(spec_.journal_path, journal->metadata(), spec_.ToJournalMeta());
+    if (!mismatch.empty()) {
+      return fail(std::move(mismatch));
     }
     loaded = journal->records();
     format = journal->format();
@@ -824,25 +810,12 @@ std::optional<CampaignOutcome> CampaignDriver::RunEpochOrchestration(std::string
         replay.pop_front();
         // The engine's fold, continued across the rewrite: the recomputed
         // feedback equals the recorded copy, so the bytes do not change.
-        RunFeedback feedback;
-        if (!record.gated) {
-          for (const FoundBug& bug : record.result.bugs) {
-            feedback.new_bug |= fold.bugs.insert(bug).second;
-          }
-          feedback.injections = record.result.injections;
-          feedback.fingerprint = record.result.fingerprint;
-          feedback.new_blocks = record.result.coverage.NewlyCoveredVersus(fold.coverage);
-          fold.coverage.Absorb(record.result.coverage);
-          ++fold.scenarios_run;
-          record.feedback = feedback;
-        }
+        record.feedback = fold.Fold(record.result, record.gated, record.stream_index);
         if (!merged.Append(record)) {
           return fail("journal append failed rewriting " + spec_.journal_path +
                       ": disk full or I/O error");
         }
-        ++fold.records;
-        fold.next_stream_index = record.stream_index + 1;
-        master.OnFeedback(jobs[i], feedback);
+        master.OnFeedback(jobs[i], record.feedback);
       }
       continue;
     }
@@ -916,17 +889,7 @@ std::optional<CampaignOutcome> CampaignDriver::RunEpochOrchestration(std::string
       }
     }
     for (size_t shard = 0; shard < epoch_journals.size(); ++shard) {
-      MergeInputStats& stats = shard_stats[shard];
-      stats.records += epoch_journals[shard].records().size();
-      for (const JournalRecord& record : epoch_journals[shard].records()) {
-        if (!record.gated) {
-          ++stats.scenarios_run;
-        }
-        for (const FoundBug& bug : record.result.bugs) {
-          shard_bugs[shard].insert(bug);
-        }
-      }
-      stats.bugs = shard_bugs[shard].size();
+      TallyMergeInput(epoch_journals[shard], &shard_stats[shard], &shard_bugs[shard]);
     }
     // The epoch boundary: the whole epoch's feedback reaches the master
     // frontier at once, in stream order -- exactly the single-process
@@ -951,11 +914,7 @@ std::optional<CampaignOutcome> CampaignDriver::RunEpochOrchestration(std::string
   if (!merged.Finalize(error)) {
     return std::nullopt;
   }
-  CampaignOutcome outcome;
-  outcome.bugs = {fold.bugs.begin(), fold.bugs.end()};
-  outcome.coverage = std::move(fold.coverage);
-  outcome.scenarios_run = fold.scenarios_run;
-  outcome.journal_path = spec_.journal_path;
+  CampaignOutcome outcome = FromExploration(fold.TakeResult(), spec_.journal_path);
   outcome.metadata = spec_.ToJournalMeta();
   outcome.shards = std::move(shard_stats);
   return outcome;
@@ -971,11 +930,7 @@ std::optional<CampaignOutcome> MergeCampaignJournals(const std::vector<std::stri
   if (!merged) {
     return std::nullopt;
   }
-  CampaignOutcome outcome;
-  outcome.bugs = std::move(merged->bugs);
-  outcome.coverage = std::move(merged->coverage);
-  outcome.scenarios_run = merged->scenarios_run;
-  outcome.journal_path = output_path;
+  CampaignOutcome outcome = FromExploration(std::move(*merged), output_path);
   outcome.metadata = std::move(metadata);
   outcome.shards = std::move(stats);
   return outcome;

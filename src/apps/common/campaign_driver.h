@@ -1,11 +1,14 @@
-// The campaign driver: one executor for every CampaignSpec.
+// The campaign driver: the public campaign API, one executor for every
+// CampaignSpec.
 //
-// CampaignDriver owns everything the per-system free functions and
-// lfi_tool's subcommands used to wire by hand: source construction (the
-// Table 1 job lists or an exploration strategy), engine options, journal
-// creation/resume, replay, and result reporting. Run() returns one
-// CampaignOutcome -- bugs, cumulative coverage, the journal artifact, and
-// per-shard/per-replay accounting -- whatever the mode.
+// CampaignDriver owns everything a campaign needs wiring: source
+// construction (the Table 1 job lists or an exploration strategy), engine
+// options, journal creation/resume, replay, and result reporting. Run()
+// returns one CampaignOutcome -- bugs, cumulative coverage, the journal
+// artifact, and per-shard/per-replay accounting -- whatever the mode.
+// lfi_tool, the benches and the tests run their campaigns through it; the
+// engine underneath (core/campaign_engine.h) has the one entry point
+// CampaignEngine::Run(ScenarioSource&, runner).
 //
 // Multi-process campaigns are a property of the spec, not separate wiring:
 // a spec with shard_count > 1 and no shard_index makes Run() orchestrate --
@@ -15,9 +18,6 @@
 // processes (set_tool_path) or in-process, and the per-shard journals are
 // then merged (core/journal.h MergeJournals) into spec.journal_path as a
 // valid, resumable single-process journal.
-//
-// The historical RunGitCampaign/.../ExplorePbftCampaign/ResumeCampaign free
-// functions (bug_campaign.h) are one-line wrappers over this driver.
 
 #ifndef LFI_APPS_COMMON_CAMPAIGN_DRIVER_H_
 #define LFI_APPS_COMMON_CAMPAIGN_DRIVER_H_
@@ -109,6 +109,13 @@ class CampaignDriver {
   CampaignSpec spec_;
   std::string tool_path_;
 };
+
+// The per-system JobResult runner campaigns stream through: the default
+// workload harness that `lfi_tool replay` and JournalSource-seeded runs use
+// to execute a journaled scenario. `explore_workload` selects the (larger)
+// exploration workload where the two differ (pbft). Null for unknown systems.
+CampaignEngine::ResultRunner SystemJobRunner(const std::string& system,
+                                             bool explore_workload = true);
 
 // Merges journals through MergeJournals and reports the result as a
 // CampaignOutcome (`lfi_tool merge`). `format` picks the output encoding;

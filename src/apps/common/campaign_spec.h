@@ -4,9 +4,8 @@
 // campaign: which system, which mode (the paper's Table 1 list, feedback
 // exploration, resuming or replaying a journal), which strategy/budget/seed,
 // how parallel, where the journal lives, and -- for multi-process campaigns
-// -- which shard of the work this process owns. Everything that used to be
-// spread across CampaignConfig, ExploreConfig, CampaignEngine::Options
-// wiring, and lfi_tool's per-subcommand parsing collapses into this struct;
+// -- which shard of the work this process owns. Engine options and
+// lfi_tool's per-subcommand parsing all derive from this struct;
 // CampaignDriver (campaign_driver.h) executes it.
 //
 // Specs round-trip through the XML subsystem (<campaignspec .../>), which is
@@ -61,7 +60,7 @@ bool IsCampaignSystem(const std::string& name);
 struct CampaignSpec {
   static constexpr size_t kNoShard = static_cast<size_t>(-1);
 
-  std::string system;  // "git"|"mysql"|"bind"|"pbft"|"bfs", or "all" (table1 only)
+  std::string system = {};  // "git"|"mysql"|"bind"|"pbft"|"bfs", or "all" (table1 only)
   CampaignMode mode = CampaignMode::kExplore;
   ExploreStrategy strategy = ExploreStrategy::kExhaustive;
   // Table 1 mode: run every generated scenario instead of stopping the fuzz
@@ -73,7 +72,7 @@ struct CampaignSpec {
   int workers = 1;     // engine worker pool; <= 0 = one per hardware thread
   // Journal artifact: written by table1/explore runs, read (and continued /
   // replayed) by resume/replay. Required when shard_count > 1.
-  std::string journal_path;
+  std::string journal_path = {};
   // With journal_path: replay an existing journal first and continue where
   // it stopped (kResume sets this implicitly after reading the header).
   bool resume = false;
@@ -99,7 +98,7 @@ struct CampaignSpec {
   size_t epoch_index = kNoEpoch;
   // Epoch children: path of the frontier snapshot (FrontierState XML) the
   // child reseeds its source from before running. Never journaled.
-  std::string frontier_path;
+  std::string frontier_path = {};
   bool json = false;  // machine-readable reporting (CLI presentation hint)
   // --- supervision policy (apps/common/shard_supervisor.h) -----------------
   // Execution environment, never campaign identity: none of these enter
@@ -129,7 +128,7 @@ struct CampaignSpec {
   // Failpoint schedule (util/failpoint.h spec syntax) armed by the driver
   // and inherited by spawned children over the spec wire format. Chaos
   // testing only; stripped from supervisor respawns.
-  std::string failpoints;
+  std::string failpoints = {};
   // On-disk encoding for journals this campaign creates (fresh runs, shard
   // artifacts, the merged journal). Reads auto-detect, and resume keeps the
   // existing file's encoding, so this is an artifact preference -- never
@@ -137,7 +136,7 @@ struct CampaignSpec {
   JournalFormat format = JournalFormat::kExtent;
   // Replay mode: "record[:injection]" selecting one journaled injection;
   // empty replays every record that injected.
-  std::string replay_selector;
+  std::string replay_selector = {};
   size_t abort_after_records = 0;  // kill-and-resume test hook (engine)
 
   bool operator==(const CampaignSpec&) const = default;

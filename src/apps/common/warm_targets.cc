@@ -483,6 +483,18 @@ WarmPool::Factory BfsMuxWarmFactory() {
 
 // --- ExecutionLayer ----------------------------------------------------------
 
+namespace {
+
+// A runner that co-owns its pool. A job the engine's watchdog abandoned
+// (CampaignEngine::Options::job_timeout_ms) keeps running on a detached
+// thread with its own copy of the runner, after the campaign -- and the
+// ExecutionLayer -- may be gone.
+CampaignEngine::ResultRunner PoolRunner(std::shared_ptr<WarmPool> pool) {
+  return [pool = std::move(pool)](const CampaignJob& job) { return pool->RunJob(job); };
+}
+
+}  // namespace
+
 ExecutionLayer::ExecutionLayer(const std::string& system, bool explore_workload,
                                bool cold_start)
     : cold_start_(cold_start) {
@@ -504,26 +516,23 @@ ExecutionLayer::ExecutionLayer(const std::string& system, bool explore_workload,
     return;
   }
   if (system == "git") {
-    pool_ = std::make_unique<WarmPool>(GitWarmFactory());
+    pool_ = std::make_shared<WarmPool>(GitWarmFactory());
   } else if (system == "mysql") {
-    pool_ = std::make_unique<WarmPool>(MysqlWarmFactory());
+    pool_ = std::make_shared<WarmPool>(MysqlWarmFactory());
   } else if (system == "bind") {
-    pool_ = std::make_unique<WarmPool>(BindWarmFactory());
-    bind_dst_pool_ = std::make_unique<WarmPool>(BindDstWarmFactory());
-    bind_dst_runner_ = bind_dst_pool_->AsRunner();
+    pool_ = std::make_shared<WarmPool>(BindWarmFactory());
+    bind_dst_runner_ = PoolRunner(std::make_shared<WarmPool>(BindDstWarmFactory()));
   } else if (system == "pbft") {
-    pool_ = std::make_unique<WarmPool>(explore_workload ? PbftWarmFactory(20, 3000)
+    pool_ = std::make_shared<WarmPool>(explore_workload ? PbftWarmFactory(20, 3000)
                                                         : PbftWarmFactory(8, 2000));
-    pbft_distributed_pool_ = std::make_unique<WarmPool>(PbftDistributedWarmFactory());
-    pbft_distributed_runner_ = pbft_distributed_pool_->AsRunner();
+    pbft_distributed_runner_ = PoolRunner(std::make_shared<WarmPool>(PbftDistributedWarmFactory()));
   } else if (system == "bfs") {
-    pool_ = std::make_unique<WarmPool>(explore_workload ? BfsWarmFactory(3, 900)
+    pool_ = std::make_shared<WarmPool>(explore_workload ? BfsWarmFactory(3, 900)
                                                         : BfsWarmFactory(2, 600));
-    bfs_mux_pool_ = std::make_unique<WarmPool>(BfsMuxWarmFactory());
-    bfs_mux_runner_ = bfs_mux_pool_->AsRunner();
+    bfs_mux_runner_ = PoolRunner(std::make_shared<WarmPool>(BfsMuxWarmFactory()));
   }
   if (pool_ != nullptr) {
-    runner_ = pool_->AsRunner();
+    runner_ = PoolRunner(pool_);
   }
 }
 

@@ -85,11 +85,13 @@ WarmPool::Factory BfsWarmFactory(int rounds, int max_ticks);
 WarmPool::Factory BfsMuxWarmFactory();
 
 // --- the execution layer -----------------------------------------------------
-// Owns the campaign's warm pools (lifetime: one engine run -- shard and epoch
+// Builds the campaign's warm pools (one set per engine run -- shard and epoch
 // children each build their own) and hands out the ResultRunners the engine
-// and the Table 1 job builders plug in. With `cold_start` (the ablation knob,
-// spec attribute cold-start) every runner is the one-shot cold function
-// instead, so `lfi_tool --cold-start` byte-compares against the default.
+// and the Table 1 job builders plug in. Each runner co-owns its pool, so a
+// job the engine's watchdog abandoned can finish after the layer is gone.
+// With `cold_start` (the ablation knob, spec attribute cold-start) every
+// runner is the one-shot cold function instead, so `lfi_tool --cold-start`
+// byte-compares against the default.
 class ExecutionLayer {
  public:
   ExecutionLayer(const std::string& system, bool explore_workload, bool cold_start);
@@ -111,10 +113,7 @@ class ExecutionLayer {
 
  private:
   bool cold_start_;
-  std::unique_ptr<WarmPool> pool_;
-  std::unique_ptr<WarmPool> bind_dst_pool_;
-  std::unique_ptr<WarmPool> pbft_distributed_pool_;
-  std::unique_ptr<WarmPool> bfs_mux_pool_;
+  std::shared_ptr<WarmPool> pool_;  // runner_'s pool, for pool_stats()
   CampaignEngine::ResultRunner runner_;
   CampaignEngine::ResultRunner bind_dst_runner_;
   CampaignEngine::ResultRunner pbft_distributed_runner_;

@@ -5,7 +5,9 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <thread>
@@ -49,13 +51,10 @@ class JournalHook {
       if (!loaded) {
         throw std::runtime_error(error);
       }
-      for (const auto& [key, value] : options.journal_meta) {
-        std::string recorded = loaded->Meta(key, value);
-        if (recorded != value) {
-          throw std::runtime_error("journal " + options.journal_path +
-                                   " records a campaign with " + key + "='" + recorded +
-                                   "', not '" + value + "'; resuming it would diverge");
-        }
+      std::string mismatch = CampaignIdentityMismatch(options.journal_path,
+                                                      loaded->metadata(), options.journal_meta);
+      if (!mismatch.empty()) {
+        throw std::runtime_error(mismatch);
       }
       hook->journal_ = std::move(*loaded);
       if (!hook->journal_.OpenAppend(options.journal_path, &error)) {
@@ -162,17 +161,31 @@ class JournalHook {
   size_t abort_after_ = 0;
 };
 
+// The job's own runner when it carries one, the campaign-wide one otherwise.
+JobResult RunJob(const CampaignJob& job, const CampaignEngine::ResultRunner& runner) {
+  if (job.explore) {
+    return job.explore(job);
+  }
+  if (!runner) {
+    throw std::logic_error("CampaignJob '" + job.label +
+                           "' has no explore runner and none was passed to Run()");
+  }
+  return runner(job);
+}
+
 // Runs one job, under a wall-clock watchdog when Options::job_timeout_ms is
 // set. A job past its budget is a target hung under an injected fault: the
 // worker thread is abandoned (it owns copies of everything it touches, so
-// detaching is safe) and the job reports a deterministic "hang" bug -- site
+// detaching is safe; a runner must therefore keep its own state alive, as
+// ExecutionLayer's runners co-own their warm pools) and the job reports a
+// deterministic "hang" bug -- site
 // and fingerprint derive from the label alone, so the resulting journal
 // record is identical however long the wait actually took.
 JobResult ExecuteJob(const CampaignJob& job, const CampaignEngine::ResultRunner& runner,
                      const CampaignEngine::Options& options) {
   if (options.job_timeout_ms == 0) {
     FailpointFired("engine.job.run");  // hang-action failpoints park here
-    return job.explore ? job.explore(job) : runner(job);
+    return RunJob(job, runner);
   }
   struct Watch {
     std::mutex mu;
@@ -193,7 +206,7 @@ JobResult ExecuteJob(const CampaignJob& job, const CampaignEngine::ResultRunner&
         return;
       }
     }
-    JobResult result = job.explore ? job.explore(job) : runner(job);
+    JobResult result = RunJob(job, runner);
     std::lock_guard<std::mutex> lock(watch->mu);
     watch->result = std::move(result);
     watch->done = true;
@@ -214,6 +227,89 @@ JobResult ExecuteJob(const CampaignJob& job, const CampaignEngine::ResultRunner&
                        "unresponsive under injected fault: " + job.label, job.label});
   hung.fingerprint = "hang!" + job.label;
   return hung;
+}
+
+// What one campaign run carries across the batches it folds: the journal,
+// the fold state, and the stream position of the next batch's first job.
+struct CampaignRun {
+  CampaignRun(const CampaignEngine::Options& options, const CampaignEngine::ResultRunner& runner)
+      : options(options), runner(runner), journal(JournalHook::Open(options)) {}
+
+  const CampaignEngine::Options& options;
+  const CampaignEngine::ResultRunner& runner;
+  std::unique_ptr<JournalHook> journal;
+  MergeFoldState fold;
+  // Advisory: set at the merge point once max_bugs is reached, read by
+  // workers to skip gated jobs without running them.
+  std::atomic<bool> saturated{false};
+  size_t stream_base = 0;
+};
+
+using FeedbackSink = std::function<void(const CampaignJob&, RunFeedback)>;
+
+// The one execute-and-fold step, for a drained open-loop stream and for each
+// batch of a feedback-driven one: runs `jobs` on the pool and folds results
+// eagerly as the completion cursor advances. At the merge point, under the
+// merge lock and in job order, each job is gated or folded, journaled with
+// `epoch`, and its feedback handed to `sink`. That ordered fold -- not the
+// execution order -- decides dedup winners, the max_bugs cutoff, and what
+// each job newly covered, which is what makes N workers bit-identical to one.
+void RunOrdered(const std::vector<CampaignJob>& jobs, size_t epoch, CampaignRun& run,
+                const FeedbackSink& sink) {
+  const CampaignEngine::Options& options = run.options;
+  const size_t base = run.stream_base;
+  std::vector<std::optional<JobResult>> pending(jobs.size());
+  size_t cursor = 0;
+  std::mutex merge_mu;
+
+  if (run.journal != nullptr) {
+    for (size_t i = 0; i < jobs.size(); ++i) {
+      run.journal->CheckAligned(base + i, jobs[i]);
+    }
+  }
+
+  auto deliver = [&](size_t index, JobResult result) {
+    std::lock_guard<std::mutex> lock(merge_mu);
+    pending[index] = std::move(result);
+    while (cursor < jobs.size() && pending[cursor].has_value()) {
+      const CampaignJob& job = jobs[cursor];
+      const size_t stream_index = base + cursor;
+      bool gated = job.skip_when_saturated && options.max_bugs != 0 &&
+                   run.fold.bugs.size() >= options.max_bugs;
+      RunFeedback feedback = run.fold.Fold(*pending[cursor], gated, stream_index);
+      if (options.max_bugs != 0 && run.fold.bugs.size() >= options.max_bugs) {
+        run.saturated.store(true, std::memory_order_release);
+      }
+      if (run.journal != nullptr && stream_index >= run.journal->replay_count()) {
+        run.journal->Append(job, gated, *pending[cursor], feedback, stream_index, epoch);
+      }
+      sink(job, std::move(feedback));
+      pending[cursor].reset();  // the cursor never revisits a merged slot
+      ++cursor;
+    }
+  };
+
+  WorkerPool::ParallelFor(options.workers, jobs.size(), [&](size_t index, int worker) {
+    (void)worker;
+    const CampaignJob& job = jobs[index];
+    // Journal replay: jobs inside the replay prefix take their recorded
+    // result from disk instead of executing.
+    if (run.journal != nullptr) {
+      if (const JournalRecord* record = run.journal->Replay(base + index)) {
+        deliver(index, record->result);
+        return;
+      }
+    }
+    // Advisory fast-path: once saturated, gated jobs skip execution. The
+    // merge-side gate above is the authoritative (deterministic) one; this
+    // only avoids wasted work, since late results are discarded anyway.
+    if (job.skip_when_saturated && run.saturated.load(std::memory_order_acquire)) {
+      deliver(index, {});
+      return;
+    }
+    deliver(index, ExecuteJob(job, run.runner, options));
+  });
+  run.stream_base += jobs.size();
 }
 
 }  // namespace
@@ -247,134 +343,17 @@ std::optional<FoundBug> FoundBug::Parse(const std::string& xml, std::string* err
   return ParseXmlElement<FoundBug>(xml, error);
 }
 
-bool BugSink::Report(const FoundBug& bug) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return bugs_.insert(bug).second;
-}
-
-void BugSink::Report(const std::vector<FoundBug>& bugs) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const FoundBug& bug : bugs) {
-    bugs_.insert(bug);
-  }
-}
-
-size_t BugSink::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return bugs_.size();
-}
-
-std::vector<FoundBug> BugSink::Sorted() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return {bugs_.begin(), bugs_.end()};
-}
-
-ExplorationResult CampaignEngine::RunOrdered(const std::vector<CampaignJob>& jobs,
-                                             const ResultRunner& runner,
-                                             ScenarioSource* source) const {
-  // Completed jobs park their results here until every lower-index job has
-  // finished; the cursor then folds them into the result in job order. That
-  // ordered merge -- not the execution order -- decides dedup winners, the
-  // max_bugs cutoff, and what each job newly covered, which is what makes N
-  // workers bit-identical to one.
-  ExplorationResult out;
-  std::set<FoundBug> bugs;
-  std::vector<std::optional<JobResult>> pending(jobs.size());
-  size_t cursor = 0;
-  std::mutex merge_mu;
-  std::atomic<bool> saturated{false};
-
-  std::unique_ptr<JournalHook> journal = JournalHook::Open(options_);
-  if (journal != nullptr) {
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      journal->CheckAligned(i, jobs[i]);
-    }
-  }
-
-  auto deliver = [&](size_t index, JobResult result) {
-    std::lock_guard<std::mutex> lock(merge_mu);
-    pending[index] = std::move(result);
-    while (cursor < jobs.size() && pending[cursor].has_value()) {
-      const CampaignJob& job = jobs[cursor];
-      RunFeedback feedback;
-      bool gated = job.skip_when_saturated && options_.max_bugs != 0 &&
-                   bugs.size() >= options_.max_bugs;
-      if (!gated) {
-        JobResult& merged = *pending[cursor];
-        for (const FoundBug& bug : merged.bugs) {
-          feedback.new_bug |= bugs.insert(bug).second;
-        }
-        feedback.injections = merged.injections;
-        feedback.fingerprint = merged.fingerprint;
-        feedback.new_blocks = merged.coverage.NewlyCoveredVersus(out.coverage);
-        out.coverage.Absorb(merged.coverage);
-        ++out.scenarios_run;
-      }
-      if (options_.max_bugs != 0 && bugs.size() >= options_.max_bugs) {
-        saturated.store(true, std::memory_order_release);
-      }
-      if (journal != nullptr && cursor >= journal->replay_count()) {
-        journal->Append(job, gated, *pending[cursor], feedback, cursor, options_.epoch);
-      }
-      if (source != nullptr) {
-        source->OnFeedback(job, feedback);
-      }
-      pending[cursor].reset();  // the cursor never revisits a merged slot
-      ++cursor;
-    }
-  };
-
-  WorkerPool::ParallelFor(options_.workers, jobs.size(), [&](size_t index, int worker) {
-    (void)worker;
-    const CampaignJob& job = jobs[index];
-    // Journal replay: jobs inside the replay prefix take their recorded
-    // result from disk instead of executing.
-    if (journal != nullptr) {
-      if (const JournalRecord* record = journal->Replay(index)) {
-        deliver(index, record->result);
-        return;
-      }
-    }
-    // Advisory fast-path: once saturated, gated jobs skip execution. The
-    // merge-side gate above is the authoritative (deterministic) one; this
-    // only avoids wasted work, since late results are discarded anyway.
-    if (job.skip_when_saturated && saturated.load(std::memory_order_acquire)) {
-      deliver(index, {});
-      return;
-    }
-    deliver(index, ExecuteJob(job, runner, options_));
-  });
-
-  if (journal != nullptr) {
-    journal->Finish();
-  }
-  out.bugs = {bugs.begin(), bugs.end()};
-  return out;
-}
-
-std::vector<FoundBug> CampaignEngine::Run(const std::vector<CampaignJob>& jobs,
-                                          const JobRunner& runner) const {
-  ResultRunner adapted = [&runner](const CampaignJob& job) {
-    JobResult result;
-    result.bugs = job.run ? job.run(job) : runner(job);
-    return result;
-  };
-  return RunOrdered(jobs, adapted, nullptr).bugs;
-}
-
-std::vector<FoundBug> CampaignEngine::Run(const std::vector<CampaignJob>& jobs) const {
-  return Run(jobs, [](const CampaignJob& job) -> std::vector<FoundBug> {
-    throw std::logic_error("CampaignJob '" + job.label +
-                           "' has no runner and none was passed to Run()");
-  });
-}
-
 ExplorationResult CampaignEngine::Run(ScenarioSource& source, const ResultRunner& runner) const {
-  const size_t batch_size = options_.batch_size == 0 ? 8 : options_.batch_size;
+  const size_t batch_size =
+      options_.batch_size == 0 ? Options::kDefaultBatchSize : options_.batch_size;
+  CampaignRun run(options_, runner);
+  auto feed = [&source](const CampaignJob& job, RunFeedback feedback) {
+    source.OnFeedback(job, feedback);
+  };
 
   if (!source.needs_feedback()) {
     // Open-loop source: nothing it schedules depends on what ran, so drain
-    // it up front and run everything through the eager merge -- no batch
+    // it up front and run everything through one eager fold -- no batch
     // barriers, and saturation skips take effect mid-flight.
     std::vector<CampaignJob> jobs;
     while (true) {
@@ -386,118 +365,53 @@ ExplorationResult CampaignEngine::Run(ScenarioSource& source, const ResultRunner
         jobs.push_back(std::move(job));
       }
     }
-    return RunOrdered(jobs, runner, &source);
-  }
-
-  ExplorationResult out;
-  std::set<FoundBug> bugs;
-  // Written only between batches, read by the workers of the *next* batch:
-  // the advisory skip is deterministic because it depends solely on fully
-  // merged batches, never on intra-batch completion order.
-  bool saturated = false;
-
-  std::unique_ptr<JournalHook> journal = JournalHook::Open(options_);
-  size_t stream_base = 0;  // global index of this batch's first job
-
-  // Epoch mode (Options::epoch_len > 0): the source schedules open-loop
-  // within an epoch -- feedback parks in `deferred` -- and receives the whole
-  // epoch's feedback, in job order, only once epoch_len batches merged or the
-  // source ran dry. Delivery can refill the source's queues (mutations of
-  // fruitful runs), so a dry NextBatch only ends the campaign after the
-  // pending epoch flushed and the source stayed dry.
-  const size_t epoch_len = options_.epoch_len;
-  size_t epoch = epoch_len == 0 ? kNoEpoch : 0;
-  size_t batches_this_epoch = 0;
-  std::vector<std::pair<CampaignJob, RunFeedback>> deferred;
-  auto flush_epoch = [&] {
-    for (auto& [job, feedback] : deferred) {
-      source.OnFeedback(job, feedback);
-    }
-    deferred.clear();
-    ++epoch;
-    batches_this_epoch = 0;
-  };
-
-  while (true) {
-    std::vector<CampaignJob> batch = source.NextBatch(batch_size);
-    if (batch.empty()) {
-      if (epoch_len != 0 && !deferred.empty()) {
-        flush_epoch();
-        continue;
+    RunOrdered(jobs, options_.epoch, run, feed);
+  } else {
+    // Epoch mode (Options::epoch_len > 0): the source schedules open-loop
+    // within an epoch -- feedback parks in `deferred` -- and receives the
+    // whole epoch's feedback, in job order, only once epoch_len batches
+    // folded or the source ran dry. Delivery can refill the source's queues
+    // (mutations of fruitful runs), so a dry NextBatch only ends the campaign
+    // after the pending epoch flushed and the source stayed dry.
+    const size_t epoch_len = options_.epoch_len;
+    size_t epoch = epoch_len == 0 ? options_.epoch : 0;
+    size_t batches_this_epoch = 0;
+    std::vector<std::pair<CampaignJob, RunFeedback>> deferred;
+    auto defer = [&deferred](const CampaignJob& job, RunFeedback feedback) {
+      deferred.emplace_back(job, std::move(feedback));
+    };
+    auto flush_epoch = [&] {
+      for (auto& [job, feedback] : deferred) {
+        source.OnFeedback(job, feedback);
       }
-      break;
-    }
-    if (journal != nullptr) {
-      for (size_t index = 0; index < batch.size(); ++index) {
-        journal->CheckAligned(stream_base + index, batch[index]);
-      }
-    }
-    std::vector<JobResult> results(batch.size());
-    WorkerPool::ParallelFor(options_.workers, batch.size(), [&](size_t index, int worker) {
-      (void)worker;
-      const CampaignJob& job = batch[index];
-      // Journal replay: recorded results substitute for execution.
-      if (journal != nullptr) {
-        if (const JournalRecord* record = journal->Replay(stream_base + index)) {
-          results[index] = record->result;
-          return;
+      deferred.clear();
+      ++epoch;
+      batches_this_epoch = 0;
+    };
+    while (true) {
+      std::vector<CampaignJob> batch = source.NextBatch(batch_size);
+      if (batch.empty()) {
+        if (epoch_len != 0 && !deferred.empty()) {
+          flush_epoch();
+          continue;
         }
-      }
-      if (job.skip_when_saturated && saturated) {
-        return;  // merge-side gate below is the authoritative one
-      }
-      results[index] = ExecuteJob(job, runner, options_);
-    });
-
-    // The deterministic merge point: job order decides dedup winners, the
-    // max_bugs cutoff, and -- new versus the batch API -- what each job
-    // newly covered, since the cumulative map grows in job order too.
-    for (size_t index = 0; index < batch.size(); ++index) {
-      const CampaignJob& job = batch[index];
-      RunFeedback feedback;
-      bool gated = job.skip_when_saturated && options_.max_bugs != 0 &&
-                   bugs.size() >= options_.max_bugs;
-      if (!gated) {
-        JobResult& result = results[index];
-        for (const FoundBug& bug : result.bugs) {
-          feedback.new_bug |= bugs.insert(bug).second;
-        }
-        feedback.injections = result.injections;
-        feedback.fingerprint = result.fingerprint;
-        feedback.new_blocks = result.coverage.NewlyCoveredVersus(out.coverage);
-        out.coverage.Absorb(result.coverage);
-        ++out.scenarios_run;
-      }
-      if (journal != nullptr && stream_base + index >= journal->replay_count()) {
-        journal->Append(job, gated, results[index], feedback, stream_base + index, epoch);
+        break;
       }
       if (epoch_len == 0) {
-        source.OnFeedback(job, feedback);
+        RunOrdered(batch, epoch, run, feed);
       } else {
-        deferred.emplace_back(job, std::move(feedback));
+        RunOrdered(batch, epoch, run, defer);
+        if (++batches_this_epoch >= epoch_len) {
+          flush_epoch();
+        }
       }
     }
-    stream_base += batch.size();
-    if (options_.max_bugs != 0 && bugs.size() >= options_.max_bugs) {
-      saturated = true;
-    }
-    if (epoch_len != 0 && ++batches_this_epoch >= epoch_len) {
-      flush_epoch();
-    }
   }
 
-  if (journal != nullptr) {
-    journal->Finish();
+  if (run.journal != nullptr) {
+    run.journal->Finish();
   }
-  out.bugs = {bugs.begin(), bugs.end()};
-  return out;
-}
-
-ExplorationResult CampaignEngine::Run(ScenarioSource& source) const {
-  return Run(source, [](const CampaignJob& job) -> JobResult {
-    throw std::logic_error("CampaignJob '" + job.label +
-                           "' has no explore runner and none was passed to Run()");
-  });
+  return run.fold.TakeResult();
 }
 
 std::vector<CampaignJob> AnalyzerJobs(const Image& binary, const FaultProfile& profile,

@@ -2,35 +2,35 @@
 //
 // The §7.1 campaign ("LFI entirely on its own") is embarrassingly parallel:
 // every generated scenario is an independent controller run against a fresh
-// instance of the target. The engine exploits that. It takes a batch of
-// CampaignJobs -- built from the analyzer's reports, a random-injection
-// generator, or an explicit list -- shards them across a work-stealing
-// worker pool, runs each through its own TestController, and merges the
-// FoundBug results with the campaign's crash-site dedup.
+// instance of the target. The engine exploits that. Its one entry point,
+// Run(ScenarioSource&, runner), streams CampaignJobs from a source
+// (core/exploration.h) -- the analyzer's job list (ExhaustiveSource), a
+// random sweep, or the coverage-guided feedback loop -- shards them across a
+// work-stealing worker pool, runs each through its own TestController, and
+// folds the results in *job order* no matter which worker finishes first.
 //
-// Determinism is load-bearing: results are merged in *job order* no matter
-// which worker finishes first, and jobs carry a per-scenario RNG seed that
-// Runtime::Options threads to the triggers, so an N-worker run returns a bug
-// list bit-identical to the 1-worker (serial) baseline.
+// The fold (MergeFoldState::Fold, core/journal.h) is the campaign's
+// crash-site dedup plus the per-job RunFeedback -- the bugs, the injection
+// fingerprint, and the coverage blocks that run covered for the first time.
+// Jobs carry a per-scenario RNG seed that Runtime::Options threads to the
+// triggers, so an N-worker run returns a bug list bit-identical to the
+// 1-worker (serial) baseline.
 //
-// Beyond the one-shot batch API, the engine can stream jobs from a
-// ScenarioSource (core/exploration.h): it pulls fixed-size batches, runs
-// them on the pool, merges each batch in job order, and feeds per-job
-// RunFeedback -- the bugs, the injection fingerprint, and the coverage
-// blocks that run covered for the first time -- back to the source before
-// pulling the next batch. Feedback-driven strategies (coverage-guided
-// exploration) close their loop through that channel. The batch size is
+// Open-loop sources are drained up front and run as one batch-free pass.
+// Feedback-driven sources (coverage-guided exploration) are pulled in
+// fixed-size batches; each batch runs through the same parallel
+// execute-and-fold step, and feedback reaches the source in job order at the
+// merge point, before the next batch is pulled. The batch size is
 // independent of the worker count, so the same seed + strategy produces a
-// bit-identical bug list at any parallelism.
+// bit-identical bug list at any parallelism. CampaignDriver
+// (apps/common/campaign_driver.h) is the public campaign API built on top.
 
 #ifndef LFI_CORE_CAMPAIGN_ENGINE_H_
 #define LFI_CORE_CAMPAIGN_ENGINE_H_
 
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -94,22 +94,6 @@ struct FoundBug {
   static std::optional<FoundBug> Parse(const std::string& xml, std::string* error = nullptr);
 };
 
-// Thread-safe crash-site dedup. The first report of a site wins (later
-// duplicates keep the original `injected` attribution, like the serial
-// std::set-based campaigns did).
-class BugSink {
- public:
-  // Returns true when the bug was new (not a duplicate site).
-  bool Report(const FoundBug& bug);
-  void Report(const std::vector<FoundBug>& bugs);
-  size_t size() const;
-  std::vector<FoundBug> Sorted() const;
-
- private:
-  mutable std::mutex mu_;
-  std::set<FoundBug> bugs_;
-};
-
 // Everything one job's run reports back to the streaming engine: the bugs it
 // exposed plus the observations the feedback loop runs on. The coverage map
 // is the job's own (the application instance's), merged into the cumulative
@@ -140,10 +124,8 @@ struct CampaignJob {
   // journal fall back to the engine's own merge index.
   size_t stream_index = kNoStreamIndex;
   // Self-contained jobs (different workload or harness than the campaign
-  // default) override the campaign-wide runner.
-  std::function<std::vector<FoundBug>(const CampaignJob&)> run;
-  // Same, for the streaming (ScenarioSource) entry point, which also wants
-  // coverage and the injection fingerprint back.
+  // default, e.g. bind's dst_lib_init sweep) override the campaign-wide
+  // runner.
   std::function<JobResult(const CampaignJob&)> explore;
   // Subject to CampaignEngine::Options::max_bugs: the job is skipped once
   // the bugs merged so far (in job order) reach the cap. Models the serial
@@ -172,9 +154,10 @@ class CampaignEngine {
     int workers = 1;      // <= 0: one worker per hardware thread
     size_t max_bugs = 0;  // 0 = run everything; else gate skip_when_saturated jobs
     // Jobs pulled from a ScenarioSource per batch. Part of the determinism
-    // contract: feedback reaches the source after each merged batch, so the
-    // batch size -- never the worker count -- decides what a feedback-driven
-    // strategy knows when it schedules the next jobs.
+    // contract: the next batch is pulled only once the previous one folded
+    // and its feedback was delivered, so the batch size -- never the worker
+    // count -- decides what a feedback-driven strategy knows when it
+    // schedules the next jobs.
     size_t batch_size = kDefaultBatchSize;
     // Non-empty: persist every merged job -- scenario, injection log,
     // fingerprint, bugs, coverage delta -- to an append-only campaign
@@ -190,8 +173,9 @@ class CampaignEngine {
     // is bit-identical to an uninterrupted run at any worker count.
     bool resume = false;
     // Header fields for a fresh journal (campaign identity: system,
-    // strategy, budget, seed). On resume the loaded header wins; a mismatch
-    // with these values is an error.
+    // strategy, budget, seed). On resume the loaded header wins; a key
+    // present on one side only, or a differing value, is an error
+    // (CampaignIdentityMismatch, core/journal.h).
     JournalMetadata journal_meta = {};
     // On-disk encoding for a *fresh* journal. Resume keeps whatever encoding
     // the existing file uses (auto-detected on load), so this never forks a
@@ -223,51 +207,29 @@ class CampaignEngine {
     // records from disk without re-waiting.
     uint64_t job_timeout_ms = 0;
     // System name attributed to hang bugs ("" falls back to "campaign").
-    std::string system;
+    std::string system = {};
   };
 
-  using JobRunner = std::function<std::vector<FoundBug>(const CampaignJob&)>;
   using ResultRunner = std::function<JobResult(const CampaignJob&)>;
 
   CampaignEngine() = default;
   explicit CampaignEngine(Options options) : options_(options) {}
 
-  // Runs every job (job.run when set, `runner` otherwise) on the worker
-  // pool and returns the deduplicated bug list. The merge happens in job
-  // order, so the result -- including which scenario gets the `injected`
-  // attribution for a shared crash site -- is identical for any worker
-  // count.
-  std::vector<FoundBug> Run(const std::vector<CampaignJob>& jobs, const JobRunner& runner) const;
-
-  // Every job must carry its own `run`; throws std::logic_error otherwise.
-  std::vector<FoundBug> Run(const std::vector<CampaignJob>& jobs) const;
-
-  // The streaming entry point: pulls batches of Options::batch_size jobs
-  // from `source` until it is exhausted, runs each batch on the worker pool
-  // (job.explore when set, `runner` otherwise), merges results in job order,
-  // and hands the source per-job RunFeedback after each merged batch.
+  // Pulls batches of Options::batch_size jobs from `source` until it is
+  // exhausted, runs each on the worker pool (job.explore when set, `runner`
+  // otherwise; a job with neither throws std::logic_error), folds results in
+  // job order, and hands the source per-job RunFeedback at the merge point.
   // Open-loop sources (needs_feedback() false) skip the batch barriers
-  // entirely: the source is drained up front and everything runs through
-  // one eager job-order merge, exactly like the batch API. The max_bugs
-  // gate applies exactly as in Run(). Deterministic for any worker count:
-  // batch boundaries, merge order, and feedback order depend only on the
-  // source and the batch size.
-  ExplorationResult Run(ScenarioSource& source, const ResultRunner& runner) const;
-
-  // Every streamed job must carry its own `explore`; throws otherwise.
-  ExplorationResult Run(ScenarioSource& source) const;
+  // entirely: the source is drained up front and everything runs through one
+  // eager job-order fold. Jobs marked skip_when_saturated are gated once the
+  // bugs folded so far reach Options::max_bugs. Deterministic for any worker
+  // count: batch boundaries, fold order, and feedback order depend only on
+  // the source and the batch size.
+  ExplorationResult Run(ScenarioSource& source, const ResultRunner& runner = nullptr) const;
 
   const Options& options() const { return options_; }
 
  private:
-  // The one true job-order merge: runs `jobs` on the pool, folds results
-  // eagerly as the completion cursor advances (saturation skips take effect
-  // mid-flight), and -- when `source` is non-null -- delivers RunFeedback in
-  // job order. Both the batch API and the open-loop streaming path land
-  // here, so dedup, attribution, and the max_bugs gate cannot diverge.
-  ExplorationResult RunOrdered(const std::vector<CampaignJob>& jobs,
-                               const ResultRunner& runner, ScenarioSource* source) const;
-
   Options options_;
 };
 

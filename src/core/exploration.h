@@ -69,8 +69,10 @@ struct RunFeedback {
 
 // A pull-based producer of campaign jobs. NextBatch() returning an empty
 // vector ends the campaign. The engine calls OnFeedback() once per merged
-// job, in job order, after the job's batch completed -- a source never
-// observes feedback for a batch it is still producing.
+// job, in job order, at its merge point -- possibly on a worker thread, under
+// the engine's merge lock, while later jobs of the same batch still run, but
+// never concurrently with NextBatch(), so a source never observes feedback
+// for a batch it is still producing.
 class ScenarioSource {
  public:
   virtual ~ScenarioSource() = default;

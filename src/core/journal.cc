@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -417,16 +418,92 @@ const char* const kIdentityKeys[] = {"command",   "system", "strategy",
 // artifact, dropped on merge.
 const char* const kShardKeys[] = {"shard", "shards", "epoch"};
 
-bool IsShardKey(const std::string& key) {
-  for (const char* shard_key : kShardKeys) {
-    if (key == shard_key) {
-      return true;
+template <size_t N>
+bool IsOneOf(const std::string& key, const char* const (&keys)[N]) {
+  return std::find(std::begin(keys), std::end(keys), key) != std::end(keys);
+}
+
+bool IsShardKey(const std::string& key) { return IsOneOf(key, kShardKeys); }
+
+bool IsIdentityKey(const std::string& key) {
+  return IsOneOf(key, kIdentityKeys) || IsShardKey(key);
+}
+
+const std::string* FindMeta(const JournalMetadata& meta, const std::string& key) {
+  for (const auto& [k, v] : meta) {
+    if (k == key) {
+      return &v;
     }
   }
-  return false;
+  return nullptr;
+}
+
+// The header's "shard" key (the merge interleave's tie-break), or -1.
+size_t ShardIndexOf(const CampaignJournal& journal) {
+  std::string shard_meta = journal.Meta("shard", "");
+  return shard_meta.empty() ? static_cast<size_t>(-1)
+                            : static_cast<size_t>(std::strtoull(shard_meta.c_str(), nullptr, 0));
 }
 
 }  // namespace
+
+RunFeedback MergeFoldState::Fold(const JobResult& result, bool gated, size_t stream_index) {
+  RunFeedback feedback;
+  if (!gated) {
+    for (const FoundBug& bug : result.bugs) {
+      feedback.new_bug |= bugs.insert(bug).second;
+    }
+    feedback.injections = result.injections;
+    feedback.fingerprint = result.fingerprint;
+    feedback.new_blocks = result.coverage.NewlyCoveredVersus(coverage);
+    coverage.Absorb(result.coverage);
+    ++scenarios_run;
+  }
+  ++records;
+  next_stream_index = stream_index + 1;
+  return feedback;
+}
+
+ExplorationResult MergeFoldState::TakeResult() {
+  ExplorationResult out;
+  out.bugs = {bugs.begin(), bugs.end()};
+  out.coverage = std::move(coverage);
+  out.scenarios_run = scenarios_run;
+  return out;
+}
+
+void TallyMergeInput(const CampaignJournal& journal, MergeInputStats* stats,
+                     std::set<FoundBug>* input_bugs) {
+  for (const JournalRecord& record : journal.records()) {
+    ++stats->records;
+    if (!record.gated) {
+      ++stats->scenarios_run;
+      input_bugs->insert(record.result.bugs.begin(), record.result.bugs.end());
+    }
+  }
+  stats->bugs = input_bugs->size();
+}
+
+std::string CampaignIdentityMismatch(const std::string& path, const JournalMetadata& recorded,
+                                     const JournalMetadata& expected) {
+  std::string prefix = "journal " + path + " records a campaign ";
+  const char* suffix = "; resuming it would diverge";
+  for (const auto& [key, value] : expected) {
+    const std::string* have = FindMeta(recorded, key);
+    if (have == nullptr) {
+      return prefix + "without " + key + ", not " + key + "='" + value + "'" + suffix;
+    }
+    if (*have != value) {
+      return prefix + "with " + key + "='" + *have + "', not '" + value + "'" + suffix;
+    }
+  }
+  for (const auto& [key, value] : recorded) {
+    if (IsIdentityKey(key) && FindMeta(expected, key) == nullptr) {
+      return prefix + "with " + key + "='" + value + "', which this run does not have" + suffix;
+    }
+  }
+  return "";
+}
 
 bool MergeRecordsInto(CampaignJournal& output, const std::vector<CampaignJournal>& inputs,
                       MergeFoldState* fold, std::string* error,
@@ -454,11 +531,7 @@ bool MergeRecordsInto(CampaignJournal& output, const std::vector<CampaignJournal
   };
   std::vector<Keyed> keyed;
   for (const CampaignJournal& journal : inputs) {
-    size_t shard_index = static_cast<size_t>(-1);
-    std::string shard_meta = journal.Meta("shard", "");
-    if (!shard_meta.empty()) {
-      shard_index = static_cast<size_t>(std::strtoull(shard_meta.c_str(), nullptr, 0));
-    }
+    size_t shard_index = ShardIndexOf(journal);
     const std::vector<JournalRecord>& records = journal.records();
     for (size_t r = 0; r < records.size(); ++r) {
       bool recorded = records[r].stream_index != JournalRecord::kNoStreamIndex;
@@ -497,30 +570,16 @@ bool MergeRecordsInto(CampaignJournal& output, const std::vector<CampaignJournal
     }
   }
 
-  // The engine's merge fold, continued from `fold`: crash-site
-  // first-report-wins in stream order, and feedback recomputed against the
-  // cumulative coverage (each input recorded feedback against its
-  // shard-local state, which is stale in the merged stream).
+  // The engine's fold, continued from `fold`: feedback is recomputed
+  // against the cumulative coverage (each input recorded feedback against
+  // its shard-local state, which is stale in the merged stream).
   for (const Keyed& entry : keyed) {
     JournalRecord record = *entry.record;
     record.stream_index = entry.stream_index;
-    if (!record.gated) {
-      RunFeedback feedback;
-      for (const FoundBug& bug : record.result.bugs) {
-        feedback.new_bug |= fold->bugs.insert(bug).second;
-      }
-      feedback.injections = record.result.injections;
-      feedback.fingerprint = record.result.fingerprint;
-      feedback.new_blocks = record.result.coverage.NewlyCoveredVersus(fold->coverage);
-      fold->coverage.Absorb(record.result.coverage);
-      ++fold->scenarios_run;
-      record.feedback = std::move(feedback);
-    }
+    record.feedback = fold->Fold(record.result, record.gated, entry.stream_index);
     if (!output.Append(record)) {
       return fail("merge append failed: disk full or I/O error");
     }
-    ++fold->records;
-    fold->next_stream_index = entry.stream_index + 1;
     if (merged_records != nullptr) {
       merged_records->push_back(std::move(record));
     }
@@ -586,17 +645,9 @@ std::optional<ExplorationResult> MergeJournals(const std::vector<std::string>& i
   }
   // Non-identity, non-shard keys (free-form annotations) ride along from
   // whichever inputs carry them, first occurrence wins.
-  auto has_key = [](const JournalMetadata& meta, const std::string& key) {
-    for (const auto& [k, v] : meta) {
-      if (k == key) {
-        return true;
-      }
-    }
-    return false;
-  };
   for (const CampaignJournal& journal : journals) {
     for (const auto& [key, value] : journal.metadata()) {
-      if (!IsShardKey(key) && !has_key(out_meta, key)) {
+      if (!IsShardKey(key) && FindMeta(out_meta, key) == nullptr) {
         out_meta.emplace_back(key, value);
       }
     }
@@ -606,23 +657,11 @@ std::optional<ExplorationResult> MergeJournals(const std::vector<std::string>& i
   if (stats != nullptr) {
     stats->clear();
     for (size_t i = 0; i < journals.size(); ++i) {
-      size_t shard_index = static_cast<size_t>(-1);
-      std::string shard_meta = journals[i].Meta("shard", "");
-      if (!shard_meta.empty()) {
-        shard_index = static_cast<size_t>(std::strtoull(shard_meta.c_str(), nullptr, 0));
-      }
       MergeInputStats input_stats;
       input_stats.path = inputs[i];
-      input_stats.shard_index = shard_index;
+      input_stats.shard_index = ShardIndexOf(journals[i]);
       std::set<FoundBug> input_bugs;
-      for (const JournalRecord& record : journals[i].records()) {
-        ++input_stats.records;
-        if (!record.gated) {
-          ++input_stats.scenarios_run;
-          input_bugs.insert(record.result.bugs.begin(), record.result.bugs.end());
-        }
-      }
-      input_stats.bugs = input_bugs.size();
+      TallyMergeInput(journals[i], &input_stats, &input_bugs);
       stats->push_back(std::move(input_stats));
     }
   }
@@ -643,10 +682,7 @@ std::optional<ExplorationResult> MergeJournals(const std::vector<std::string>& i
   if (!MergeRecordsInto(merged, journals, &fold, error)) {
     return std::nullopt;
   }
-  ExplorationResult out;
-  out.bugs = {fold.bugs.begin(), fold.bugs.end()};
-  out.coverage = std::move(fold.coverage);
-  out.scenarios_run = fold.scenarios_run;
+  ExplorationResult out = fold.TakeResult();
   if (!merged.Finalize(error)) {
     return std::nullopt;
   }

@@ -47,6 +47,7 @@
 #include <cstdio>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -237,6 +238,15 @@ class JournalSource : public ScenarioSource {
 
 // --- merging ----------------------------------------------------------------
 
+// The resume identity check: "" when the journal at `path`, whose header is
+// `recorded`, belongs to the campaign `expected` describes; otherwise the
+// error to refuse the resume with. Every key of `expected` and every
+// campaign-identity key of `recorded` (the merge identity plus the shard
+// keys) must be present on both sides with equal values: a plain journal
+// resumed as an epoch-len campaign, or the reverse, is a different campaign.
+std::string CampaignIdentityMismatch(const std::string& path, const JournalMetadata& recorded,
+                                     const JournalMetadata& expected);
+
 // What one input journal contributed to a merge (per-shard stats).
 struct MergeInputStats {
   std::string path;
@@ -246,10 +256,19 @@ struct MergeInputStats {
   size_t bugs = 0;           // crash sites deduplicated within this input
 };
 
-// The engine-fold state an incremental merge carries between calls: the
-// crash-site dedup set, the cumulative coverage, and how far the merged
-// stream has grown. A distributed coverage-guided campaign merges one
-// epoch's shard journals per call, so folding from this state -- instead of
+// Adds `journal`'s records to one input's tally. `input_bugs` is that
+// input's crash-site set, carried across calls when an input arrives in
+// pieces (the epoch orchestrator's per-epoch shard journals).
+void TallyMergeInput(const CampaignJournal& journal, MergeInputStats* stats,
+                     std::set<FoundBug>* input_bugs);
+
+// The campaign's job-order fold and the state it carries: the crash-site
+// dedup set, the cumulative coverage, and how far the folded stream has
+// grown. The engine folds every job it merges through it, and so do the
+// journal merge (MergeRecordsInto) and the epoch orchestrator's resume
+// replay, so a journal rebuilt from records is byte-identical to the one
+// written live. A distributed coverage-guided campaign merges one epoch's
+// shard journals per call, so folding from this state -- instead of
 // re-folding from record zero like one-shot MergeJournals -- keeps the
 // per-epoch cost proportional to the epoch, not the campaign so far.
 struct MergeFoldState {
@@ -258,6 +277,15 @@ struct MergeFoldState {
   size_t scenarios_run = 0;
   size_t records = 0;            // records merged so far
   size_t next_stream_index = 0;  // smallest stream index a new record may claim
+
+  // Folds the job at `stream_index` and returns the feedback it earns:
+  // crash sites first-report-wins, blocks newly covered versus everything
+  // folded before it. A gated job (skipped by the max_bugs gate, never ran)
+  // earns empty feedback and only advances the stream position.
+  RunFeedback Fold(const JobResult& result, bool gated, size_t stream_index);
+
+  // The campaign result folded so far; leaves the coverage moved-from.
+  ExplorationResult TakeResult();
 };
 
 // The incremental merge step: interleaves `inputs`' records by recorded

@@ -1,20 +1,22 @@
 // The parallel campaign engine: serial equivalence, deterministic merges,
-// concurrent dedup, and per-scenario seed reproducibility.
+// and per-scenario seed reproducibility.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "apps/common/bug_campaign.h"
+#include "apps/common/campaign_driver.h"
 #include "apps/git/git.h"
 #include "core/analysis_cache.h"
 #include "core/campaign_engine.h"
 #include "core/controller.h"
+#include "core/exploration.h"
 #include "core/stock_triggers.h"
 #include "util/errno_codes.h"
 #include "util/work_queue.h"
@@ -32,6 +34,22 @@ void ExpectSameBugs(const std::vector<FoundBug>& a, const std::vector<FoundBug>&
     EXPECT_EQ(a[i].where, b[i].where) << i;
     EXPECT_EQ(a[i].injected, b[i].injected) << i;
   }
+}
+
+// Streams `jobs` through the engine's one entry point, in order.
+std::vector<FoundBug> RunJobs(std::vector<CampaignJob> jobs, CampaignEngine::Options options) {
+  ExhaustiveSource source(std::move(jobs));
+  return CampaignEngine(options).Run(source).bugs;
+}
+
+// The Table 1 campaign for `system` ("all" = the union) through the driver.
+std::vector<FoundBug> Table1Bugs(const std::string& system, int workers) {
+  std::string error;
+  auto outcome =
+      CampaignDriver({.system = system, .mode = CampaignMode::kTable1, .workers = workers})
+          .Run(&error);
+  EXPECT_TRUE(outcome.has_value()) << error;
+  return outcome ? outcome->bugs : std::vector<FoundBug>{};
 }
 
 // --- worker pool ----------------------------------------------------------
@@ -71,37 +89,6 @@ TEST(WorkerPool, StealingDrainsImbalancedQueues) {
   EXPECT_EQ(done.load(), 32);
 }
 
-// --- BugSink dedup under concurrent merges --------------------------------
-
-TEST(BugSink, DedupsConcurrentOverlappingMerges) {
-  constexpr int kThreads = 8;
-  constexpr int kSites = 64;
-  BugSink sink;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&sink, t] {
-      for (int round = 0; round < 50; ++round) {
-        for (int site = 0; site < kSites; ++site) {
-          // Every thread reports every site, with a thread-specific
-          // attribution: exactly one per site may survive.
-          sink.Report(FoundBug{"sys", "SIGSEGV", "site-" + std::to_string(site),
-                               "thread-" + std::to_string(t)});
-        }
-      }
-    });
-  }
-  for (std::thread& t : threads) {
-    t.join();
-  }
-  std::vector<FoundBug> bugs = sink.Sorted();
-  ASSERT_EQ(bugs.size(), static_cast<size_t>(kSites));
-  std::set<std::string> sites;
-  for (const FoundBug& bug : bugs) {
-    sites.insert(bug.where);
-  }
-  EXPECT_EQ(sites.size(), static_cast<size_t>(kSites));
-}
-
 // --- deterministic job-order merge ----------------------------------------
 
 TEST(CampaignEngine, JobOrderDecidesDedupWinnerRegardlessOfCompletionOrder) {
@@ -113,16 +100,17 @@ TEST(CampaignEngine, JobOrderDecidesDedupWinnerRegardlessOfCompletionOrder) {
     for (int i = 0; i < 2; ++i) {
       CampaignJob job;
       job.label = "job-" + std::to_string(i);
-      job.run = [i](const CampaignJob& self) {
+      job.explore = [i](const CampaignJob& self) {
         if (i == 0) {
           std::this_thread::sleep_for(std::chrono::milliseconds(20));
         }
-        return std::vector<FoundBug>{{"sys", "SIGSEGV", "shared-site", self.label}};
+        JobResult result;
+        result.bugs = {{"sys", "SIGSEGV", "shared-site", self.label}};
+        return result;
       };
       jobs.push_back(std::move(job));
     }
-    CampaignEngine engine({.workers = workers});
-    std::vector<FoundBug> bugs = engine.Run(jobs);
+    std::vector<FoundBug> bugs = RunJobs(std::move(jobs), {.workers = workers});
     ASSERT_EQ(bugs.size(), 1u) << "workers=" << workers;
     EXPECT_EQ(bugs[0].injected, "job-0") << "workers=" << workers;
   }
@@ -138,14 +126,14 @@ TEST(CampaignEngine, MaxBugsGatesSaturableJobsDeterministically) {
       CampaignJob job;
       job.label = "job-" + std::to_string(i);
       job.skip_when_saturated = i >= 2;
-      job.run = [i](const CampaignJob& self) {
-        return std::vector<FoundBug>{
-            {"sys", "SIGSEGV", "site-" + std::to_string(i), self.label}};
+      job.explore = [i](const CampaignJob& self) {
+        JobResult result;
+        result.bugs = {{"sys", "SIGSEGV", "site-" + std::to_string(i), self.label}};
+        return result;
       };
       jobs.push_back(std::move(job));
     }
-    CampaignEngine engine({.workers = workers, .max_bugs = 2});
-    std::vector<FoundBug> bugs = engine.Run(jobs);
+    std::vector<FoundBug> bugs = RunJobs(std::move(jobs), {.workers = workers, .max_bugs = 2});
     ASSERT_EQ(bugs.size(), 2u) << "workers=" << workers;
     EXPECT_EQ(bugs[0].where, "site-0");
     EXPECT_EQ(bugs[1].where, "site-1");
@@ -155,16 +143,16 @@ TEST(CampaignEngine, MaxBugsGatesSaturableJobsDeterministically) {
 // --- campaign equivalence: parallel == serial baseline --------------------
 
 TEST(CampaignEngine, PbftCampaignIdenticalAcrossWorkerCounts) {
-  std::vector<FoundBug> serial = RunPbftCampaign({.workers = 1});
+  std::vector<FoundBug> serial = Table1Bugs("pbft", 1);
   ASSERT_EQ(serial.size(), 2u);
-  ExpectSameBugs(serial, RunPbftCampaign({.workers = 2}));
-  ExpectSameBugs(serial, RunPbftCampaign({.workers = 8}));
+  ExpectSameBugs(serial, Table1Bugs("pbft", 2));
+  ExpectSameBugs(serial, Table1Bugs("pbft", 8));
 }
 
 TEST(CampaignEngine, FullCampaignIdenticalAcrossWorkerCounts) {
-  std::vector<FoundBug> serial = RunFullCampaign({.workers = 1});
+  std::vector<FoundBug> serial = Table1Bugs("all", 1);
   EXPECT_EQ(serial.size(), 12u);
-  ExpectSameBugs(serial, RunFullCampaign({.workers = 4}));
+  ExpectSameBugs(serial, Table1Bugs("all", 4));
 }
 
 // --- per-scenario seed reproducibility ------------------------------------
@@ -197,7 +185,7 @@ std::vector<FoundBug> RunSeededRandomCampaign(int workers) {
     job.scenario = RandomScenarioWithoutDeclaredSeed();
     job.label = "trial-" + std::to_string(i);
     job.seed = i + 1;
-    job.run = [](const CampaignJob& self) {
+    job.explore = [](const CampaignJob& self) {
       VirtualFs fs;
       VirtualNet net;
       VirtualLibc libc(&fs, &net, "seed-app");
@@ -214,13 +202,13 @@ std::vector<FoundBug> RunSeededRandomCampaign(int workers) {
       });
       // Encode the injection trace length so the comparison below is
       // sensitive to every single trigger decision.
-      return std::vector<FoundBug>{
-          {"seedtest", "injections", self.label, std::to_string(outcome.injections)}};
+      JobResult result;
+      result.bugs = {{"seedtest", "injections", self.label, std::to_string(outcome.injections)}};
+      return result;
     };
     jobs.push_back(std::move(job));
   }
-  CampaignEngine engine({.workers = workers});
-  return engine.Run(jobs);
+  return RunJobs(std::move(jobs), {.workers = workers});
 }
 
 TEST(CampaignEngine, SeedsMakeRandomScenariosReproducibleAcrossWorkerCounts) {

@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "apps/common/bug_campaign.h"
 #include "apps/common/campaign_driver.h"
 #include "apps/common/campaign_spec.h"
 #include "core/exploration.h"
@@ -320,7 +319,9 @@ TEST(ShardedCampaign, MergeIsOrderInvariantAndMatchesSingleProcess) {
 
   // The merged journal is a valid resumable campaign: resume replays it to
   // the same result without re-executing (and without touching the bytes).
-  auto resumed = ResumeCampaign(merged_path, /*workers=*/2, &error);
+  auto resumed =
+      CampaignDriver({.mode = CampaignMode::kResume, .workers = 2, .journal_path = merged_path})
+          .Run(&error);
   ASSERT_TRUE(resumed.has_value()) << error;
   EXPECT_EQ(resumed->bugs, single_outcome->bugs);
   EXPECT_EQ(resumed->coverage.hits(), single_outcome->coverage.hits());
@@ -423,20 +424,6 @@ TEST(ShardedCampaign, MergeRejectsMismatchedCampaignIdentity) {
 }
 
 // --- driver modes beyond explore --------------------------------------------
-
-// The wrappers route through the driver; spot-check that a driven table1
-// campaign still reproduces the historical bug list (campaign_test.cc pins
-// the full Table 1 content).
-TEST(CampaignDriver, Table1SpecMatchesWrapper) {
-  CampaignSpec spec;
-  spec.system = "git";
-  spec.mode = CampaignMode::kTable1;
-  std::string error;
-  auto outcome = CampaignDriver(spec).Run(&error);
-  ASSERT_TRUE(outcome.has_value()) << error;
-  EXPECT_EQ(outcome->bugs, RunGitCampaign());
-  EXPECT_FALSE(outcome->bugs.empty());
-}
 
 TEST(CampaignDriver, ReplayModeReproducesJournaledCrashes) {
   EnsureStockTriggersRegistered();

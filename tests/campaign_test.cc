@@ -6,11 +6,21 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
-#include "apps/common/bug_campaign.h"
+#include "apps/common/campaign_driver.h"
 
 namespace lfi {
 namespace {
+
+// The Table 1 campaign for `system` ("all" = the union) through the driver.
+std::vector<FoundBug> Table1Bugs(const std::string& system) {
+  std::string error;
+  auto outcome = CampaignDriver({.system = system, .mode = CampaignMode::kTable1}).Run(&error);
+  EXPECT_TRUE(outcome.has_value()) << error;
+  return outcome ? outcome->bugs : std::vector<FoundBug>{};
+}
 
 std::set<std::string> Kinds(const std::vector<FoundBug>& bugs) {
   std::set<std::string> out;
@@ -21,7 +31,7 @@ std::set<std::string> Kinds(const std::vector<FoundBug>& bugs) {
 }
 
 TEST(Campaign, GitFindsItsFiveBugs) {
-  auto bugs = RunGitCampaign();
+  auto bugs = Table1Bugs("git");
   EXPECT_EQ(bugs.size(), 5u) << [&] {
     std::string s;
     for (const auto& b : bugs) {
@@ -38,7 +48,7 @@ TEST(Campaign, GitFindsItsFiveBugs) {
 }
 
 TEST(Campaign, MysqlFindsItsTwoBugs) {
-  auto bugs = RunMysqlCampaign();
+  auto bugs = Table1Bugs("mysql");
   ASSERT_EQ(bugs.size(), 2u) << [&] {
     std::string s;
     for (const auto& b : bugs) {
@@ -61,7 +71,7 @@ TEST(Campaign, MysqlFindsItsTwoBugs) {
 }
 
 TEST(Campaign, BindFindsItsTwoBugs) {
-  auto bugs = RunBindCampaign();
+  auto bugs = Table1Bugs("bind");
   ASSERT_EQ(bugs.size(), 2u) << [&] {
     std::string s;
     for (const auto& b : bugs) {
@@ -84,7 +94,7 @@ TEST(Campaign, BindFindsItsTwoBugs) {
 }
 
 TEST(Campaign, PbftFindsItsTwoBugs) {
-  auto bugs = RunPbftCampaign();
+  auto bugs = Table1Bugs("pbft");
   ASSERT_EQ(bugs.size(), 2u) << [&] {
     std::string s;
     for (const auto& b : bugs) {
@@ -107,7 +117,7 @@ TEST(Campaign, PbftFindsItsTwoBugs) {
 }
 
 TEST(Campaign, FullCampaignFindsTwelveBugs) {
-  auto bugs = RunFullCampaign();
+  auto bugs = Table1Bugs("all");
   EXPECT_EQ(bugs.size(), 12u);
   // The twelfth bug beyond the paper's eleven is bfs's unchecked-fopen
   // superblock crash.

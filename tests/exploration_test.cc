@@ -8,7 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "apps/common/bug_campaign.h"
+#include "apps/common/campaign_driver.h"
 #include "apps/git/git.h"
 #include "core/campaign_engine.h"
 #include "core/controller.h"
@@ -31,6 +31,23 @@ void ExpectSameBugs(const std::vector<FoundBug>& a, const std::vector<FoundBug>&
     EXPECT_EQ(a[i].where, b[i].where) << i;
     EXPECT_EQ(a[i].injected, b[i].injected) << i;
   }
+}
+
+// Runs `spec` through the driver, failing the test on a driver error.
+CampaignOutcome Drive(const CampaignSpec& spec) {
+  std::string error;
+  auto outcome = CampaignDriver(spec).Run(&error);
+  EXPECT_TRUE(outcome.has_value()) << error;
+  return outcome ? std::move(*outcome) : CampaignOutcome{};
+}
+
+CampaignSpec ExploreSpec(const std::string& system, ExploreStrategy strategy, size_t budget,
+                         uint64_t seed) {
+  return {.system = system,
+          .mode = CampaignMode::kExplore,
+          .strategy = strategy,
+          .budget = budget,
+          .seed = seed};
 }
 
 // --- ExhaustiveSource streaming -------------------------------------------
@@ -118,45 +135,39 @@ TEST(InjectionLogReplay, ReplayedScenarioReproducesTheCrashSiteThroughTheEngine)
 // --- seed reproducibility at 1/2/8 workers --------------------------------
 
 TEST(Exploration, RandomSweepReproducibleAcrossWorkerCounts) {
-  ExploreConfig config;
-  config.strategy = ExploreStrategy::kRandom;
-  config.budget = 24;
-  config.seed = 7;
+  CampaignSpec spec = ExploreSpec("mysql", ExploreStrategy::kRandom, 24, 7);
 
-  config.workers = 1;
-  ExplorationResult one = ExploreMysqlCampaign(config);
+  spec.workers = 1;
+  CampaignOutcome one = Drive(spec);
   EXPECT_EQ(one.scenarios_run, 24u);
 
-  ExpectSameBugs(one.bugs, ExploreMysqlCampaign(config).bugs);  // rerun: bit-stable
-  config.workers = 2;
-  ExpectSameBugs(one.bugs, ExploreMysqlCampaign(config).bugs);
-  config.workers = 8;
-  ExplorationResult eight = ExploreMysqlCampaign(config);
+  ExpectSameBugs(one.bugs, Drive(spec).bugs);  // rerun: bit-stable
+  spec.workers = 2;
+  ExpectSameBugs(one.bugs, Drive(spec).bugs);
+  spec.workers = 8;
+  CampaignOutcome eight = Drive(spec);
   ExpectSameBugs(one.bugs, eight.bugs);
   // The whole observation stream, not just the bug list, must match.
   EXPECT_EQ(one.coverage.hits(), eight.coverage.hits());
 }
 
 TEST(Exploration, CoverageGuidedReproducibleAcrossWorkerCounts) {
-  ExploreConfig config;
-  config.strategy = ExploreStrategy::kCoverage;
-  config.budget = 12;
-  config.seed = 3;
+  CampaignSpec spec = ExploreSpec("pbft", ExploreStrategy::kCoverage, 12, 3);
 
-  config.workers = 1;
-  ExplorationResult one = ExplorePbftCampaign(config);
-  config.workers = 2;
-  ExpectSameBugs(one.bugs, ExplorePbftCampaign(config).bugs);
-  config.workers = 8;
+  spec.workers = 1;
+  CampaignOutcome one = Drive(spec);
+  spec.workers = 2;
+  ExpectSameBugs(one.bugs, Drive(spec).bugs);
+  spec.workers = 8;
   // Journaling the run must not perturb it: same bugs, same coverage, one
   // journal record per scheduled scenario (tests/journal_test.cc covers the
   // resume/replay/shard workflows in depth).
-  config.journal_path = ::testing::TempDir() + "exploration_journaled.xml";
-  std::remove(config.journal_path.c_str());
-  ExplorationResult eight = ExplorePbftCampaign(config);
+  spec.journal_path = ::testing::TempDir() + "exploration_journaled.xml";
+  std::remove(spec.journal_path.c_str());
+  CampaignOutcome eight = Drive(spec);
   ExpectSameBugs(one.bugs, eight.bugs);
   EXPECT_EQ(one.coverage.hits(), eight.coverage.hits());
-  auto journal = CampaignJournal::Load(config.journal_path);
+  auto journal = CampaignJournal::Load(spec.journal_path);
   ASSERT_TRUE(journal.has_value());
   EXPECT_EQ(journal->records().size(), eight.scenarios_run);
 }
@@ -164,17 +175,14 @@ TEST(Exploration, CoverageGuidedReproducibleAcrossWorkerCounts) {
 // --- the acceptance bar: coverage-guided >= exhaustive on pbft -------------
 
 TEST(Exploration, CoverageGuidedCoversAtLeastExhaustiveOnPbft) {
-  ExploreConfig exhaustive_config;
-  exhaustive_config.strategy = ExploreStrategy::kExhaustive;
-  ExplorationResult exhaustive = ExplorePbftCampaign(exhaustive_config);
+  CampaignOutcome exhaustive = Drive(ExploreSpec("pbft", ExploreStrategy::kExhaustive, 0, 1));
   ASSERT_GT(exhaustive.scenarios_run, 0u);
 
   // Same budget as the exhaustive list: the guided strategy must never do
   // worse than the paper's one-shot generation.
-  ExploreConfig guided_config;
-  guided_config.strategy = ExploreStrategy::kCoverage;
-  guided_config.budget = exhaustive.scenarios_run;
-  ExplorationResult guided = ExplorePbftCampaign(guided_config);
+  CampaignSpec guided_spec =
+      ExploreSpec("pbft", ExploreStrategy::kCoverage, exhaustive.scenarios_run, 1);
+  CampaignOutcome guided = Drive(guided_spec);
   EXPECT_GE(guided.coverage.ComputeStats().covered_recovery_blocks,
             exhaustive.coverage.ComputeStats().covered_recovery_blocks);
 
@@ -182,8 +190,8 @@ TEST(Exploration, CoverageGuidedCoversAtLeastExhaustiveOnPbft) {
   // sites (whose recovery paths the static classification never flags) and
   // mutations of fruitful scenarios reach recovery blocks the exhaustive
   // strategy cannot, at any budget.
-  guided_config.budget = 16;
-  ExplorationResult wider = ExplorePbftCampaign(guided_config);
+  guided_spec.budget = 16;
+  CampaignOutcome wider = Drive(guided_spec);
   EXPECT_GT(wider.coverage.ComputeStats().covered_recovery_blocks,
             exhaustive.coverage.ComputeStats().covered_recovery_blocks);
   // 16 > the number of distinct sites, so the exploit (mutation) queue must
@@ -194,9 +202,12 @@ TEST(Exploration, CoverageGuidedCoversAtLeastExhaustiveOnPbft) {
 // Campaigns through the streamed pipeline still match the serial baseline at
 // every worker count (the ported Table 1 harnesses kept their contract).
 TEST(Exploration, PortedPbftCampaignStillIdenticalAcrossWorkerCounts) {
-  std::vector<FoundBug> serial = RunPbftCampaign({.workers = 1});
+  auto table1 = [](int workers) {
+    return Drive({.system = "pbft", .mode = CampaignMode::kTable1, .workers = workers}).bugs;
+  };
+  std::vector<FoundBug> serial = table1(1);
   ASSERT_EQ(serial.size(), 2u);
-  ExpectSameBugs(serial, RunPbftCampaign({.workers = 8}));
+  ExpectSameBugs(serial, table1(8));
 }
 
 }  // namespace

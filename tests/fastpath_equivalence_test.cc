@@ -12,7 +12,7 @@
 #include <thread>
 #include <vector>
 
-#include "apps/common/bug_campaign.h"
+#include "apps/common/campaign_driver.h"
 #include "core/controller.h"
 #include "core/runtime.h"
 #include "core/scenario.h"
@@ -193,18 +193,17 @@ struct LookupModeDefaults {
   ~LookupModeDefaults() { Runtime::SetLookupModeDefaults(false, false); }
 };
 
+// Runs `spec` through the driver, failing the test on a driver error.
+CampaignOutcome Drive(const CampaignSpec& spec) {
+  std::string error;
+  auto outcome = CampaignDriver(spec).Run(&error);
+  EXPECT_TRUE(outcome.has_value()) << error;
+  return outcome ? std::move(*outcome) : CampaignOutcome{};
+}
+
 std::vector<FoundBug> RunCampaignInMode(const std::string& system, int mode) {
   LookupModeDefaults defaults(mode);
-  if (system == "git") {
-    return RunGitCampaign();
-  }
-  if (system == "mysql") {
-    return RunMysqlCampaign();
-  }
-  if (system == "bind") {
-    return RunBindCampaign();
-  }
-  return RunPbftCampaign();
+  return Drive({.system = system, .mode = CampaignMode::kTable1}).bugs;
 }
 
 std::string Render(const std::vector<FoundBug>& bugs) {
@@ -229,17 +228,17 @@ TEST(FastPath, CampaignBugListsAreBitIdenticalAcrossLookupModes) {
 TEST(FastPath, ExplorationCoverageIsBitIdenticalAcrossLookupModes) {
   auto explore = [](int mode) {
     LookupModeDefaults defaults(mode);
-    ExploreConfig config;
-    config.strategy = ExploreStrategy::kCoverage;
-    config.budget = 24;
-    config.seed = 7;
-    return ExplorePbftCampaign(config);
+    return Drive({.system = "pbft",
+                  .mode = CampaignMode::kExplore,
+                  .strategy = ExploreStrategy::kCoverage,
+                  .budget = 24,
+                  .seed = 7});
   };
-  ExplorationResult interned = explore(0);
+  CampaignOutcome interned = explore(0);
   auto interned_stats = interned.coverage.ComputeStats();
   EXPECT_GT(interned_stats.covered_blocks, 0u);
   for (int mode : {1, 2}) {
-    ExplorationResult other = explore(mode);
+    CampaignOutcome other = explore(mode);
     EXPECT_EQ(Render(other.bugs), Render(interned.bugs)) << ModeName(mode);
     EXPECT_EQ(other.scenarios_run, interned.scenarios_run) << ModeName(mode);
     EXPECT_EQ(other.coverage.hits(), interned.coverage.hits()) << ModeName(mode);
@@ -252,14 +251,13 @@ TEST(FastPath, ExplorationCoverageIsBitIdenticalAcrossLookupModes) {
 }
 
 TEST(FastPath, InternedCampaignIsBitIdenticalAtOneTwoEightWorkers) {
-  CampaignConfig serial;
-  serial.workers = 1;
-  std::string baseline = Render(RunFullCampaign(serial));
+  auto full = [](int workers) {
+    return Render(Drive({.system = "all", .mode = CampaignMode::kTable1, .workers = workers}).bugs);
+  };
+  std::string baseline = full(1);
   EXPECT_FALSE(baseline.empty());
   for (int workers : {2, 8}) {
-    CampaignConfig config;
-    config.workers = workers;
-    EXPECT_EQ(Render(RunFullCampaign(config)), baseline) << workers << " workers";
+    EXPECT_EQ(full(workers), baseline) << workers << " workers";
   }
 }
 

@@ -8,10 +8,11 @@
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "apps/common/bug_campaign.h"
+#include "apps/common/campaign_driver.h"
 #include "apps/common/campaign_spec.h"
 #include "core/campaign_engine.h"
 #include "core/exploration.h"
@@ -53,6 +54,32 @@ void ExpectSameBugs(const std::vector<FoundBug>& a, const std::vector<FoundBug>&
     EXPECT_EQ(a[i].where, b[i].where) << i;
     EXPECT_EQ(a[i].injected, b[i].injected) << i;
   }
+}
+
+// Runs `spec` through the driver, failing the test on a driver error.
+CampaignOutcome Drive(const CampaignSpec& spec) {
+  std::string error;
+  auto outcome = CampaignDriver(spec).Run(&error);
+  EXPECT_TRUE(outcome.has_value()) << error;
+  return outcome ? std::move(*outcome) : CampaignOutcome{};
+}
+
+// The pbft coverage-guided exploration most journal tests record.
+CampaignSpec PbftCoverageSpec(size_t budget, const std::string& journal_path) {
+  return {.system = "pbft",
+          .mode = CampaignMode::kExplore,
+          .strategy = ExploreStrategy::kCoverage,
+          .budget = budget,
+          .seed = 3,
+          .journal_path = journal_path};
+}
+
+// `lfi_tool resume`: the campaign identity comes from the journal header.
+std::optional<CampaignOutcome> Resume(const std::string& journal_path, int workers,
+                                      std::string* error) {
+  return CampaignDriver({.mode = CampaignMode::kResume, .workers = workers,
+                         .journal_path = journal_path})
+      .Run(error);
 }
 
 // --- property-style XML round trips ----------------------------------------
@@ -437,13 +464,8 @@ TEST(CampaignJournal, KillAndResumeIsBitIdenticalAtAnyWorkerCount) {
   std::string full_path = TempPath("journal_full.xml");
   std::remove(full_path.c_str());
 
-  ExploreConfig config;
-  config.strategy = ExploreStrategy::kCoverage;
-  config.budget = 12;
-  config.seed = 3;
-  config.workers = 1;
-  config.journal_path = full_path;
-  ExplorationResult uninterrupted = ExplorePbftCampaign(config);
+  CampaignSpec spec = PbftCoverageSpec(12, full_path);
+  CampaignOutcome uninterrupted = Drive(spec);
   ASSERT_FALSE(uninterrupted.bugs.empty());
 
   std::string error;
@@ -471,11 +493,11 @@ TEST(CampaignJournal, KillAndResumeIsBitIdenticalAtAnyWorkerCount) {
         out << "<record label=\"torn";
       }
 
-      ExploreConfig resume_config = config;
-      resume_config.workers = workers;
-      resume_config.journal_path = partial_path;
-      resume_config.resume = true;
-      ExplorationResult resumed = ExplorePbftCampaign(resume_config);
+      CampaignSpec resume_spec = spec;
+      resume_spec.workers = workers;
+      resume_spec.journal_path = partial_path;
+      resume_spec.resume = true;
+      CampaignOutcome resumed = Drive(resume_spec);
 
       ExpectSameBugs(uninterrupted.bugs, resumed.bugs);
       EXPECT_EQ(uninterrupted.coverage.hits(), resumed.coverage.hits());
@@ -488,56 +510,62 @@ TEST(CampaignJournal, KillAndResumeIsBitIdenticalAtAnyWorkerCount) {
   }
 }
 
-// The ResumeCampaign entry point reconstructs the whole configuration from
-// the journal header alone (what `lfi_tool resume` runs).
-TEST(CampaignJournal, ResumeCampaignReadsConfigFromHeader) {
+// Resume mode reconstructs the whole configuration from the journal header
+// alone (what `lfi_tool resume` runs).
+TEST(CampaignJournal, ResumeModeReadsConfigFromHeader) {
   EnsureStockTriggersRegistered();
   std::string path = TempPath("journal_header_resume.xml");
   std::remove(path.c_str());
 
-  ExploreConfig config;
-  config.strategy = ExploreStrategy::kCoverage;
-  config.budget = 12;
-  config.seed = 3;
-  config.journal_path = path;
-  ExplorationResult uninterrupted = ExplorePbftCampaign(config);
+  CampaignOutcome uninterrupted = Drive(PbftCoverageSpec(12, path));
 
   std::string error;
-  auto resumed = ResumeCampaign(path, /*workers=*/2, &error);
+  auto resumed = Resume(path, /*workers=*/2, &error);
   ASSERT_TRUE(resumed.has_value()) << error;
   ExpectSameBugs(uninterrupted.bugs, resumed->bugs);
   EXPECT_EQ(uninterrupted.coverage.hits(), resumed->coverage.hits());
 }
 
 // Resuming a journal recorded under a different campaign identity must be
-// refused, not silently diverge.
+// refused, not silently diverge -- including a key recorded on one side
+// only: a plain journal resumed as an epoch-len campaign, and the reverse.
+// The budget is one batch, so the job streams agree and only the identity
+// check can refuse.
 TEST(CampaignJournal, ResumeRejectsMismatchedCampaignIdentity) {
   EnsureStockTriggersRegistered();
-  std::string path = TempPath("journal_mismatch.xml");
-  std::remove(path.c_str());
+  auto expect_refused = [](const CampaignSpec& recorded, CampaignSpec resumed) {
+    std::remove(recorded.journal_path.c_str());
+    Drive(recorded);
+    resumed.resume = true;
+    std::string error;
+    EXPECT_FALSE(CampaignDriver(resumed).Run(&error).has_value());
+    EXPECT_NE(error.find("resuming it would diverge"), std::string::npos) << error;
+  };
 
-  ExploreConfig config;
-  config.strategy = ExploreStrategy::kCoverage;
-  config.budget = 8;
-  config.seed = 3;
-  config.journal_path = path;
-  ExplorePbftCampaign(config);
+  CampaignSpec plain = PbftCoverageSpec(8, TempPath("journal_mismatch.xml"));
+  CampaignSpec different_seed = plain;
+  different_seed.seed = 4;
+  expect_refused(plain, different_seed);
 
-  ExploreConfig different = config;
-  different.seed = 4;
-  different.resume = true;
-  EXPECT_THROW(ExplorePbftCampaign(different), std::runtime_error);
+  CampaignSpec as_epoch = plain;
+  as_epoch.epoch_len = 2;
+  expect_refused(plain, as_epoch);
+
+  CampaignSpec epoch = PbftCoverageSpec(8, TempPath("journal_mismatch_epoch.xml"));
+  epoch.epoch_len = 2;
+  CampaignSpec as_plain = epoch;
+  as_plain.epoch_len = 0;
+  expect_refused(epoch, as_plain);
 }
 
-// The batch-API/campaign path (RunOrdered) journals and resumes too.
+// The Table 1 (open-loop) path journals and resumes too.
 TEST(CampaignJournal, GitCampaignJournalsAndResumes) {
   EnsureStockTriggersRegistered();
   std::string path = TempPath("journal_git_campaign.xml");
   std::remove(path.c_str());
 
-  CampaignConfig config;
-  config.journal_path = path;
-  std::vector<FoundBug> uninterrupted = RunGitCampaign(config);
+  std::vector<FoundBug> uninterrupted =
+      Drive({.system = "git", .mode = CampaignMode::kTable1, .journal_path = path}).bugs;
   ASSERT_FALSE(uninterrupted.empty());
 
   std::string error;
@@ -552,9 +580,82 @@ TEST(CampaignJournal, GitCampaignJournalsAndResumes) {
   for (size_t i = 0; i < 3; ++i) {
     ASSERT_TRUE(partial.Append(full->records()[i]));
   }
-  auto resumed = ResumeCampaign(partial_path, /*workers=*/2, &error);
+  auto resumed = Resume(partial_path, /*workers=*/2, &error);
   ASSERT_TRUE(resumed.has_value()) << error;
   ExpectSameBugs(uninterrupted, resumed->bugs);
+}
+
+// --- the shared fold ---------------------------------------------------------
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+}
+
+// Merging one journal re-runs the campaign's fold (MergeFoldState::Fold)
+// over its records from an empty state: the dedup, the recomputed feedback
+// and the gating must reproduce the journal byte for byte, whichever path
+// wrote it -- the open-loop Table 1 fold with gated records, the batched
+// feedback fold, the epoch-deferred fold, and a killed-then-resumed run.
+TEST(MergeJournals, SingleInputMergeReproducesTheJournal) {
+  EnsureStockTriggersRegistered();
+  auto expect_merge_identity = [](const std::string& path) {
+    std::string merged_path = path + ".merged";
+    std::remove(merged_path.c_str());
+    std::string error;
+    ASSERT_TRUE(MergeJournals({path}, merged_path, &error).has_value()) << error;
+    EXPECT_EQ(ReadFile(merged_path), ReadFile(path)) << path;
+  };
+  std::string error;
+
+  // Non-exhaustive Table 1: pbft's fuzz phase stops at the max_bugs gate.
+  std::string table1 = TempPath("fold_table1.lfij");
+  std::remove(table1.c_str());
+  Drive({.system = "pbft", .mode = CampaignMode::kTable1, .journal_path = table1});
+  auto table1_journal = CampaignJournal::Load(table1, &error);
+  ASSERT_TRUE(table1_journal.has_value()) << error;
+  size_t gated = 0;
+  for (const JournalRecord& record : table1_journal->records()) {
+    gated += record.gated ? 1 : 0;
+  }
+  EXPECT_GT(gated, 0u);
+  expect_merge_identity(table1);
+
+  std::string coverage = TempPath("fold_coverage.lfij");
+  std::remove(coverage.c_str());
+  Drive(PbftCoverageSpec(24, coverage));
+  expect_merge_identity(coverage);
+
+  CampaignSpec epoch = PbftCoverageSpec(24, TempPath("fold_epoch.lfij"));
+  epoch.epoch_len = 2;
+  std::remove(epoch.journal_path.c_str());
+  Drive(epoch);
+  expect_merge_identity(epoch.journal_path);
+
+  // The kill artifact: the first sealed extent (a kill loses the open one)
+  // plus a torn tail, resumed to completion.
+  auto full = CampaignJournal::Load(coverage, &error);
+  ASSERT_TRUE(full.has_value()) << error;
+  ASSERT_GT(full->records().size(), 16u);
+  std::string resumed = TempPath("fold_resumed.lfij");
+  {
+    CampaignJournal partial;
+    ASSERT_TRUE(partial.Create(resumed, full->metadata(), &error)) << error;
+    for (size_t i = 0; i < 16; ++i) {
+      ASSERT_TRUE(partial.Append(full->records()[i]));
+    }
+    ASSERT_TRUE(partial.Finalize(&error)) << error;
+  }
+  {
+    std::ofstream out(resumed, std::ios::app | std::ios::binary);
+    out << "torn";
+  }
+  CampaignSpec resume = PbftCoverageSpec(24, resumed);
+  resume.resume = true;
+  Drive(resume);
+  EXPECT_EQ(ReadFile(resumed), ReadFile(coverage));
+  expect_merge_identity(resumed);
 }
 
 // --- disk-only replay -------------------------------------------------------
@@ -567,12 +668,7 @@ TEST(CampaignJournal, ReplayReproducesEveryJournaledCrashSiteFromDisk) {
   std::string path = TempPath("journal_replay.xml");
   std::remove(path.c_str());
 
-  ExploreConfig config;
-  config.strategy = ExploreStrategy::kCoverage;
-  config.budget = 12;
-  config.seed = 3;
-  config.journal_path = path;
-  ExplorationResult result = ExplorePbftCampaign(config);
+  CampaignOutcome result = Drive(PbftCoverageSpec(12, path));
   ASSERT_FALSE(result.bugs.empty());
 
   std::string error;
@@ -613,12 +709,7 @@ TEST(JournalSource, ReseedsACampaignAndShardsItLosslessly) {
   std::string path = TempPath("journal_source.xml");
   std::remove(path.c_str());
 
-  ExploreConfig config;
-  config.strategy = ExploreStrategy::kCoverage;
-  config.budget = 12;
-  config.seed = 3;
-  config.journal_path = path;
-  ExplorationResult original = ExplorePbftCampaign(config);
+  CampaignOutcome original = Drive(PbftCoverageSpec(12, path));
 
   std::string error;
   auto journal = CampaignJournal::Load(path, &error);

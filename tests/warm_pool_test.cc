@@ -21,6 +21,7 @@
 #include "core/campaign_engine.h"
 #include "core/scenario.h"
 #include "core/warm_pool.h"
+#include "util/errno_codes.h"
 #include "util/sha1.h"
 #include "util/string_util.h"
 #include "vlib/vfs.h"
@@ -252,6 +253,30 @@ TEST(WarmTarget, AllSystemsRoundTripACleanJob) {
     ExpectSameResult(target->Run(job), cold);
     ASSERT_TRUE(target->Reset());
   }
+}
+
+// A job the engine's watchdog abandoned keeps running on a detached thread
+// with its own copy of the runner, after the campaign has torn down its
+// ExecutionLayer: every runner the layer hands out must stay usable.
+TEST(WarmTarget, ExecutionLayerRunnersOutliveTheLayer) {
+  CampaignJob crash;  // opendir #1 = NULL: the readdir SIGSEGV bug
+  crash.scenario = MakeCallCountScenario("opendir", 1, 0, 0);
+  crash.label = "opendir=NULL";
+  crash.seed = 3;
+  CampaignJob dst;  // the first dst_lib_init allocation fails
+  dst.scenario = MakeCallCountScenario("malloc", 1, 0, kENOMEM);
+  dst.label = "malloc #1 = NULL in dst_lib_init";
+  dst.seed = 1;
+  CampaignEngine::ResultRunner git_runner;
+  CampaignEngine::ResultRunner dst_runner;
+  {
+    ExecutionLayer git("git", /*explore_workload=*/false, /*cold_start=*/false);
+    ExecutionLayer bind("bind", /*explore_workload=*/false, /*cold_start=*/false);
+    git_runner = git.runner();
+    dst_runner = bind.bind_dst_runner();
+  }
+  ExpectSameResult(git_runner(crash), RunGitJob(crash));
+  ExpectSameResult(dst_runner(dst), RunBindDstJob(dst));
 }
 
 // --- pool discipline ---------------------------------------------------------
