@@ -195,7 +195,7 @@ int main(int argc, char** argv) {
     rows_json += lfi::StrFormat(
         "{\"shards\":%zu,\"wall_ms\":%.1f,\"scenarios_per_s\":%.1f,\"speedup\":%.3f,"
         "\"bugs\":%zu,\"identical\":%s}",
-        shards, total_ms, rate, outcome->bugs.size(), identical ? "true" : "false");
+        shards, total_ms, rate, speedup, outcome->bugs.size(), identical ? "true" : "false");
   }
 
   if (args.enabled) {

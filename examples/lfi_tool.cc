@@ -14,37 +14,40 @@
 // the CampaignOutcome.
 //
 //   lfi_tool campaign {git|mysql|bind|pbft|bfs|all} [workers]
-//       [--workers W] [--exhaustive] [--journal PATH] [--json]
-//                                            the §7.1 bug campaign
+//       [--workers W] [--exhaustive] [--journal PATH] [--shards N] [--json]
+//                                            the §7.1 bug campaign (--shards
+//                                            needs --exhaustive)
 //   lfi_tool explore {git|mysql|bind|pbft|bfs}
 //       [--strategy exhaustive|random|coverage] [--budget N] [--seed S]
 //       [--workers W] [--journal PATH] [--shard I/N] [--shards N]
 //       [--epoch-len K] [--json]             feedback-driven exploration;
 //                                            --shard runs one dealt shard of
 //                                            the stream (manual multi-machine
-//                                            sharding); --shards N with the
-//                                            coverage strategy runs the
-//                                            epoch-synchronized distributed
-//                                            campaign (requires --epoch-len K
-//                                            merged batches per epoch)
+//                                            sharding); --shards N runs the
+//                                            whole campaign as N child
+//                                            processes merged into one
+//                                            journal (the coverage strategy
+//                                            also needs --epoch-len K merged
+//                                            batches per epoch)
 //   lfi_tool shard {git|mysql|bind|pbft|bfs} --shards N --journal PATH
 //       [--strategy exhaustive|random|coverage] [--budget N] [--seed S]
 //       [--workers W] [--epoch-len K] [--json]
 //                                            multi-process campaign: spawns N
 //                                            child lfi_tool processes, one
 //                                            per shard, then merges their
-//                                            journals into PATH (coverage
-//                                            strategy: epoch-synchronized,
-//                                            needs --epoch-len K)
+//                                            journals into PATH, epoch by
+//                                            epoch (coverage strategy: needs
+//                                            --epoch-len K; the others run
+//                                            as one epoch)
 //   lfi_tool merge <out.xml> <in.xml...> [--json]
 //                                            merge shard journals into one
 //                                            resumable campaign journal
 //   lfi_tool resume <journal> [--workers W] [--shards N] [--json]
 //                                            continue a killed journaled
 //                                            campaign bit-identically;
-//                                            --shards N re-enters epoch
-//                                            orchestration for epoch-
-//                                            synchronized journals
+//                                            --shards N continues any
+//                                            shardable journal as an N-shard
+//                                            campaign
 //   lfi_tool replay <journal> [record[:injection]] [--json]
 //                                            re-inject a journaled injection
 //                                            from disk alone and check it
@@ -52,9 +55,9 @@
 //   lfi_tool journal info <path> [--json]    inspect a journal artifact,
 //                                            including a per-epoch breakdown
 //                                            for epoch-synchronized journals;
-//                                            exits nonzero if stream indexes
-//                                            fail to advance or epochs
-//                                            overlap/regress
+//                                            exits nonzero if the journal
+//                                            breaks the stream-index/epoch-
+//                                            stamp invariants
 //   lfi_tool journal convert <in> <out> [--format xml|extent]
 //                                            rewrite a journal in the other
 //                                            encoding (default) or the named
@@ -62,8 +65,9 @@
 //   lfi_tool journal doctor <path> [--repair] [--json]
 //                                            diagnose a journal artifact:
 //                                            torn tails, stale/missing extent
-//                                            footers, epoch invariant
-//                                            violations, a campaign identity
+//                                            footers, stream-index/epoch-
+//                                            stamp invariant violations
+//                                            (journal.h), a campaign identity
 //                                            naming an unknown target system,
 //                                            and orphaned shard/
 //                                            frontier artifacts. --repair
@@ -148,7 +152,7 @@ int Usage() {
                "  lfi_tool analyze <app.self> <library.self> [function]\n"
                "  lfi_tool campaign {git|mysql|bind|pbft|bfs|all} [workers] [--workers W]\n"
                "                    [--exhaustive] [--journal PATH] [--format xml|extent]\n"
-               "                    [--json]\n"
+               "                    [--shards N] [--json]\n"
                "  lfi_tool explore {git|mysql|bind|pbft|bfs} [--strategy "
                "exhaustive|random|coverage]\n"
                "                   [--budget N] [--seed S] [--workers W] [--journal PATH]\n"
@@ -665,60 +669,29 @@ struct EpochInfoRow {
   size_t new_blocks = 0;           // blocks first covered here
 };
 
-// Walks the records once, building the per-epoch breakdown and validating
-// the epoch wire invariants (journal.h JournalRecord::epoch): stream indexes
-// strictly advance and epochs never regress or interleave, so every epoch
-// owns a disjoint stream-index range. Returns false (after printing the
-// offending record) on violation -- a journal that fails here was merged
-// from overlapping shard artifacts and must not be trusted.
-bool BuildEpochBreakdown(const std::string& path, const lfi::CampaignJournal& journal,
-                         std::vector<EpochInfoRow>* rows) {
+// Walks the epoch-stamped records once, building the per-epoch breakdown.
+// Assumes the journal passed lfi::JournalInvariantViolation (stamps never
+// regress, so each epoch's records are contiguous).
+std::vector<EpochInfoRow> BuildEpochBreakdown(const lfi::CampaignJournal& journal) {
+  std::vector<EpochInfoRow> rows;
   std::set<lfi::FoundBug> seen_bugs;
   lfi::CoverageMap cumulative;
   lfi::CoverageMap::Stats prior = cumulative.ComputeStats();
-  auto close_row = [&](EpochInfoRow* row) {
+  auto close_row = [&](EpochInfoRow row) {
     lfi::CoverageMap::Stats now = cumulative.ComputeStats();
-    row->new_recovery_blocks = now.covered_recovery_blocks - prior.covered_recovery_blocks;
-    row->new_blocks = now.covered_blocks - prior.covered_blocks;
+    row.new_recovery_blocks = now.covered_recovery_blocks - prior.covered_recovery_blocks;
+    row.new_blocks = now.covered_blocks - prior.covered_blocks;
     prior = now;
-    rows->push_back(*row);
+    rows.push_back(row);
   };
   EpochInfoRow row;
   bool open = false;
-  size_t prev_stream = lfi::JournalRecord::kNoStreamIndex;
-  size_t prev_epoch = lfi::kNoEpoch;
-  for (size_t i = 0; i < journal.records().size(); ++i) {
-    const lfi::JournalRecord& record = journal.records()[i];
-    if (record.stream_index != lfi::JournalRecord::kNoStreamIndex) {
-      if (prev_stream != lfi::JournalRecord::kNoStreamIndex &&
-          record.stream_index <= prev_stream) {
-        std::fprintf(stderr,
-                     "invalid journal %s: record %zu stream index %zu does not advance past "
-                     "%zu (overlapping or reordered shard records)\n",
-                     path.c_str(), i, record.stream_index, prev_stream);
-        return false;
-      }
-      prev_stream = record.stream_index;
-    }
-    if (record.epoch != lfi::kNoEpoch && prev_epoch != lfi::kNoEpoch &&
-        record.epoch < prev_epoch) {
-      std::fprintf(stderr,
-                   "invalid journal %s: record %zu regresses to epoch %zu after epoch %zu\n",
-                   path.c_str(), i, record.epoch, prev_epoch);
-      return false;
-    }
-    if (record.epoch == lfi::kNoEpoch && prev_epoch != lfi::kNoEpoch) {
-      std::fprintf(stderr,
-                   "invalid journal %s: record %zu has no epoch after epoch-stamped records\n",
-                   path.c_str(), i);
-      return false;
-    }
+  for (const lfi::JournalRecord& record : journal.records()) {
     if (record.epoch == lfi::kNoEpoch) {
       continue;  // ordinary journal record; no breakdown row
     }
-    prev_epoch = record.epoch;
     if (open && record.epoch != row.epoch) {
-      close_row(&row);
+      close_row(row);
       row = EpochInfoRow();
       open = false;
     }
@@ -739,9 +712,9 @@ bool BuildEpochBreakdown(const std::string& path, const lfi::CampaignJournal& jo
     cumulative.Absorb(record.result.coverage);
   }
   if (open) {
-    close_row(&row);
+    close_row(row);
   }
-  return true;
+  return rows;
 }
 
 int RunJournalInfoCommand(const std::string& path, const ToolOptions& options) {
@@ -765,10 +738,12 @@ int RunJournalInfoCommand(const std::string& path, const ToolOptions& options) {
     coverage.Absorb(record.result.coverage);
   }
   std::vector<lfi::FoundBug> sorted(bugs.begin(), bugs.end());
-  std::vector<EpochInfoRow> epochs;
-  if (!BuildEpochBreakdown(path, *journal, &epochs)) {
+  std::string violation = lfi::JournalInvariantViolation(*journal);
+  if (!violation.empty()) {
+    std::fprintf(stderr, "invalid journal %s: %s\n", path.c_str(), violation.c_str());
     return 1;
   }
+  std::vector<EpochInfoRow> epochs = BuildEpochBreakdown(*journal);
   if (options.json) {
     std::string meta_json = "{";
     for (size_t i = 0; i < journal->metadata().size(); ++i) {
@@ -936,13 +911,10 @@ int RunJournalDoctorCommand(const std::string& path, bool repair, const ToolOpti
                       "records were recovered by scan",
                       /*repairable=*/true});
   }
-  std::vector<EpochInfoRow> epochs;
-  if (!BuildEpochBreakdown(path, *journal, &epochs)) {
+  std::string violation = lfi::JournalInvariantViolation(*journal);
+  if (!violation.empty()) {
     invariant_violation = true;
-    issues.push_back({"invariant-violation",
-                      "stream-index/epoch invariants violated (details above); the "
-                      "journal was merged from overlapping or reordered shard artifacts",
-                      /*repairable=*/false});
+    issues.push_back({"invariant-violation", violation, /*repairable=*/false});
   }
   // The campaign identity must name a system this build can re-run: resume
   // and replay both dispatch on it, so a journal whose header names anything

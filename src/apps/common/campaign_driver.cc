@@ -7,11 +7,8 @@
 #include <memory>
 #include <set>
 #include <stdexcept>
-#include <thread>
 
 #if defined(__unix__) || defined(__APPLE__)
-#include <sys/wait.h>
-#include <unistd.h>
 #define LFI_HAVE_FORK 1
 #endif
 
@@ -23,9 +20,6 @@
 #include "apps/mysql/mysql.h"
 #include "apps/pbft/pbft.h"
 #include "core/analysis_cache.h"
-#include "core/controller.h"
-#include "core/custom_triggers.h"
-#include "core/distributed.h"
 #include "core/exploration.h"
 #include "core/stock_triggers.h"
 #include "util/errno_codes.h"
@@ -242,38 +236,110 @@ bool FileExists(const std::string& path) {
   return f != nullptr;
 }
 
-// The analyzer inputs an exploration strategy consumes: every library's call
-// site reports concatenated in profile order (deterministic, so plan report
-// indices are stable across processes), plus one profile to look functions
-// up in -- a combined view when the system links several libraries (profiles
-// never share function names here; if they did, the first library would win,
-// matching link order).
-struct ExploreInputs {
+// The unsharded job stream one spec describes, with everything its source
+// and jobs reference kept alive beside it: the execution layer whose runners
+// self-contained Table 1 jobs carry, and the analyzer inputs an exploration
+// strategy reads -- every library's call site reports concatenated in
+// profile order (deterministic, so plan report indices are stable across
+// processes), plus one profile to look functions up in: a combined view
+// when the system links several libraries (profiles never share function
+// names here; if they did, the first library would win, matching link
+// order).
+struct JobStream {
   std::vector<const FaultProfile*> profiles;
   std::vector<CallSiteReport> reports;
   FaultProfile combined{"combined"};
-  bool use_combined = false;
+  std::unique_ptr<ExecutionLayer> exec;
+  std::unique_ptr<ScenarioSource> source;
+  size_t max_bugs = 0;  // the Table 1 fuzz cutoff; 0 = run everything
 
-  const FaultProfile& lookup() const { return use_combined ? combined : *profiles.front(); }
+  const FaultProfile& lookup() const {
+    return profiles.size() > 1 ? combined : *profiles.front();
+  }
 };
 
-ExploreInputs BuildExploreInputs(const SystemEntry& entry) {
-  ExploreInputs inputs;
-  inputs.profiles = entry.profiles();
-  for (const FaultProfile* profile : inputs.profiles) {
-    const std::vector<CallSiteReport>& cached =
-        AnalysisCache::Instance().Reports(entry.binary().image(), *profile);
-    inputs.reports.insert(inputs.reports.end(), cached.begin(), cached.end());
+// The one place a spec becomes a job stream. A single-process run executes
+// it, a shard child deals it (ShardSource), and an orchestrator's master only
+// enumerates it -- warm pools build on a job's first run, so the master never
+// brings up a target. A spec naming a frontier snapshot (an epoch shard
+// child) reseeds the coverage frontier from it and ends the stream where the
+// epoch ends.
+std::unique_ptr<JobStream> BuildJobStream(const CampaignSpec& spec, std::string* error) {
+  const SystemEntry* entry = FindSystem(spec.system);
+  auto stream = std::make_unique<JobStream>();
+  bool table1 = spec.mode == CampaignMode::kTable1;
+  stream->exec = std::make_unique<ExecutionLayer>(spec.system, /*explore_workload=*/!table1,
+                                                  spec.cold_start);
+  if (table1) {
+    stream->source =
+        std::make_unique<ExhaustiveSource>(entry->table1_jobs(spec.exhaustive, *stream->exec));
+    stream->max_bugs = spec.exhaustive ? 0 : entry->table1_max_bugs;
+    return stream;
   }
-  if (inputs.profiles.size() > 1) {
-    for (auto it = inputs.profiles.rbegin(); it != inputs.profiles.rend(); ++it) {
+  stream->profiles = entry->profiles();
+  for (const FaultProfile* profile : stream->profiles) {
+    const std::vector<CallSiteReport>& cached =
+        AnalysisCache::Instance().Reports(entry->binary().image(), *profile);
+    stream->reports.insert(stream->reports.end(), cached.begin(), cached.end());
+  }
+  if (stream->profiles.size() > 1) {
+    for (auto it = stream->profiles.rbegin(); it != stream->profiles.rend(); ++it) {
       for (const auto& [name, fn] : (*it)->functions()) {
-        inputs.combined.AddFunction(fn);
+        stream->combined.AddFunction(fn);
       }
     }
-    inputs.use_combined = true;
   }
-  return inputs;
+  size_t budget = spec.budget != 0 ? spec.budget : 64;
+  switch (spec.strategy) {
+    case ExploreStrategy::kExhaustive: {
+      std::vector<CampaignJob> jobs;
+      for (const FaultProfile* profile : stream->profiles) {
+        for (CampaignJob& job : AnalyzerJobs(entry->binary().image(), *profile)) {
+          jobs.push_back(std::move(job));
+        }
+      }
+      stream->source = std::make_unique<ExhaustiveSource>(std::move(jobs), spec.budget);
+      break;
+    }
+    case ExploreStrategy::kRandom:
+      stream->source = std::make_unique<RandomSweepSource>(
+          stream->lookup(), SiteFunctions(stream->reports), budget, spec.seed);
+      break;
+    case ExploreStrategy::kCoverage: {
+      CoverageGuidedSource::Options options;
+      options.budget = budget;
+      options.seed = spec.seed;
+      std::optional<FrontierState> frontier;
+      if (!spec.frontier_path.empty()) {
+        // The schedule limit is where the epoch ends in the unsharded
+        // stream; a frontier that runs dry earlier stops earlier, exactly
+        // like the single-process run's early epoch flush.
+        std::ifstream in(spec.frontier_path);
+        std::string xml((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+        std::string frontier_error;
+        frontier = FrontierState::Parse(xml, &frontier_error);
+        if (!frontier) {
+          if (error != nullptr) {
+            *error = xml.empty() ? "cannot read frontier snapshot " + spec.frontier_path
+                                 : "bad frontier snapshot " + spec.frontier_path + ": " +
+                                       frontier_error;
+          }
+          return nullptr;
+        }
+        options.open_loop = true;
+        options.schedule_limit =
+            frontier->scheduled + spec.epoch_len * CampaignEngine::Options::kDefaultBatchSize;
+      }
+      auto source =
+          std::make_unique<CoverageGuidedSource>(stream->reports, stream->lookup(), options);
+      if (frontier) {
+        source->ImportFrontier(*frontier);
+      }
+      stream->source = std::move(source);
+      break;
+    }
+  }
+  return stream;
 }
 
 // Points the process-wide AnalysisCache at the campaign's persistent
@@ -346,20 +412,13 @@ std::optional<CampaignOutcome> CampaignDriver::Run(std::string* error) {
   }
   EnsureStockTriggersRegistered();
   try {
-    bool orchestrates = spec_.shard_count > 1 && spec_.shard_index == CampaignSpec::kNoShard &&
-                        (spec_.mode == CampaignMode::kTable1 || spec_.mode == CampaignMode::kExplore);
-    if (orchestrates) {
-      if (spec_.mode == CampaignMode::kExplore && spec_.strategy == ExploreStrategy::kCoverage) {
-        // Validate guaranteed epoch_len != 0 for this combination.
-        return RunEpochOrchestration(error);
-      }
-      return RunShardOrchestration(error);
-    }
     switch (spec_.mode) {
       case CampaignMode::kTable1:
-        return RunTable1(error);
       case CampaignMode::kExplore:
-        return RunExplore(error);
+        if (spec_.shard_count > 1 && spec_.shard_index == CampaignSpec::kNoShard) {
+          return RunOrchestration(error);
+        }
+        return RunLocal(error);
       case CampaignMode::kResume:
         return RunResume(error);
       case CampaignMode::kReplay:
@@ -373,7 +432,7 @@ std::optional<CampaignOutcome> CampaignDriver::Run(std::string* error) {
   }
 }
 
-std::optional<CampaignOutcome> CampaignDriver::RunTable1(std::string* error) {
+std::optional<CampaignOutcome> CampaignDriver::RunLocal(std::string* error) {
   if (spec_.system == "all") {
     // The per-system engines share no job stream, so one journal cannot cover the
     // union campaign (Validate already refused a journal path).
@@ -396,88 +455,18 @@ std::optional<CampaignOutcome> CampaignDriver::RunTable1(std::string* error) {
     return outcome;
   }
 
-  const SystemEntry* entry = FindSystem(spec_.system);
-  // The execution layer (warm pools unless --cold-start) must outlive the
-  // engine run: jobs built below capture its runners.
-  ExecutionLayer exec(spec_.system, /*explore_workload=*/false, spec_.cold_start);
-  std::vector<CampaignJob> jobs = entry->table1_jobs(spec_.exhaustive, exec);
-  size_t max_bugs = spec_.exhaustive ? 0 : entry->table1_max_bugs;
-  CampaignEngine engine(EngineOptions(spec_, max_bugs));
-  ExhaustiveSource source(std::move(jobs));
-  if (spec_.shard_index != CampaignSpec::kNoShard) {
-    ShardSource sharded(source, spec_.shard_index, spec_.shard_count);
-    return FromExploration(engine.Run(sharded, exec.runner()), spec_.journal_path);
-  }
-  return FromExploration(engine.Run(source, exec.runner()), spec_.journal_path);
-}
-
-std::optional<CampaignOutcome> CampaignDriver::RunExplore(std::string* error) {
-  auto fail = [&](std::string message) -> std::optional<CampaignOutcome> {
-    if (error != nullptr) {
-      *error = std::move(message);
-    }
+  std::unique_ptr<JobStream> stream = BuildJobStream(spec_, error);
+  if (!stream) {
     return std::nullopt;
-  };
-  const SystemEntry* entry = FindSystem(spec_.system);
-  ExploreInputs inputs = BuildExploreInputs(*entry);
-  CampaignEngine engine(EngineOptions(spec_, /*max_bugs=*/0));
-  ExecutionLayer exec(spec_.system, /*explore_workload=*/true, spec_.cold_start);
-  auto run = [&](ScenarioSource& source) -> CampaignOutcome {
-    if (spec_.shard_index != CampaignSpec::kNoShard) {
-      ShardSource sharded(source, spec_.shard_index, spec_.shard_count);
-      return FromExploration(engine.Run(sharded, exec.runner()), spec_.journal_path);
-    }
-    return FromExploration(engine.Run(source, exec.runner()), spec_.journal_path);
-  };
-  switch (spec_.strategy) {
-    case ExploreStrategy::kExhaustive: {
-      std::vector<CampaignJob> jobs;
-      for (const FaultProfile* profile : inputs.profiles) {
-        for (CampaignJob& job : AnalyzerJobs(entry->binary().image(), *profile)) {
-          jobs.push_back(std::move(job));
-        }
-      }
-      ExhaustiveSource source(std::move(jobs), spec_.budget);
-      return run(source);
-    }
-    case ExploreStrategy::kRandom: {
-      RandomSweepSource source(inputs.lookup(), SiteFunctions(inputs.reports),
-                               spec_.budget != 0 ? spec_.budget : 64, spec_.seed);
-      return run(source);
-    }
-    case ExploreStrategy::kCoverage: {
-      CoverageGuidedSource::Options options;
-      options.budget = spec_.budget != 0 ? spec_.budget : 64;
-      options.seed = spec_.seed;
-      std::optional<FrontierState> frontier;
-      if (spec_.epoch_index != kNoEpoch) {
-        // Epoch shard child: reseed the frontier the orchestrator exported
-        // at the epoch boundary and re-derive the epoch's job stream
-        // open-loop. The schedule limit is where the epoch ends in the
-        // unsharded stream; a frontier that runs dry earlier stops earlier,
-        // exactly like the single-process run's early epoch flush.
-        std::ifstream in(spec_.frontier_path);
-        std::string xml((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-        if (xml.empty()) {
-          return fail("cannot read frontier snapshot " + spec_.frontier_path);
-        }
-        std::string frontier_error;
-        frontier = FrontierState::Parse(xml, &frontier_error);
-        if (!frontier) {
-          return fail("bad frontier snapshot " + spec_.frontier_path + ": " + frontier_error);
-        }
-        options.open_loop = true;
-        options.schedule_limit =
-            frontier->scheduled + spec_.epoch_len * CampaignEngine::Options::kDefaultBatchSize;
-      }
-      CoverageGuidedSource source(inputs.reports, inputs.lookup(), options);
-      if (frontier) {
-        source.ImportFrontier(*frontier);
-      }
-      return run(source);
-    }
   }
-  return CampaignOutcome{};
+  // A shard child runs only its dealt share of the stream.
+  ScenarioSource* source = stream->source.get();
+  std::optional<ShardSource> dealt;
+  if (spec_.shard_index != CampaignSpec::kNoShard) {
+    source = &dealt.emplace(*source, spec_.shard_index, spec_.shard_count);
+  }
+  CampaignEngine engine(EngineOptions(spec_, stream->max_bugs));
+  return FromExploration(engine.Run(*source, stream->exec->runner()), spec_.journal_path);
 }
 
 std::optional<CampaignOutcome> CampaignDriver::RunResume(std::string* error) {
@@ -492,17 +481,12 @@ std::optional<CampaignOutcome> CampaignDriver::RunResume(std::string* error) {
   recorded->workers = spec_.workers;
   recorded->journal_path = spec_.journal_path;
   recorded->resume = true;
-  // `resume --shards N` resumes a merged epoch-synchronized journal as a
-  // distributed campaign again (the journal's identity doesn't record the
-  // shard count -- it is an execution choice, not part of the identity).
-  if (spec_.shard_count > 1 && recorded->epoch_len == 0) {
-    if (error != nullptr) {
-      *error = "--shards on resume applies to epoch-synchronized (epoch-len) campaigns; "
-               "this journal resumes single-process";
-    }
-    return std::nullopt;
+  // `resume --shards N` resumes a campaign journal as a distributed campaign
+  // (the identity doesn't record the shard count -- it is an execution
+  // choice); a shard artifact keeps the coordinates its header records.
+  if (recorded->shard_index == CampaignSpec::kNoShard) {
+    recorded->shard_count = spec_.shard_count;
   }
-  recorded->shard_count = spec_.shard_count;
   // Resume never re-encodes: the engine keeps appending in whatever format
   // the file already uses.
   recorded->format = journal->format();
@@ -643,78 +627,13 @@ std::optional<CampaignOutcome> CampaignDriver::RunReplay(std::string* error) {
   return outcome;
 }
 
-std::optional<CampaignOutcome> CampaignDriver::RunShardOrchestration(std::string* error) {
+std::optional<CampaignOutcome> CampaignDriver::RunOrchestration(std::string* error) {
   auto fail = [&](std::string message) -> std::optional<CampaignOutcome> {
     if (error != nullptr) {
       *error = std::move(message);
     }
     return std::nullopt;
   };
-  // Refuse to clobber artifacts before any shard spends work (the engine
-  // applies the same rule per shard journal).
-  if (FileExists(spec_.journal_path)) {
-    return fail("journal " + spec_.journal_path +
-                " already exists; resume it to continue the campaign, or delete it to "
-                "start fresh");
-  }
-  ConfigureAnalysisCacheDir(spec_.journal_path);
-
-  std::vector<CampaignSpec> children;
-  std::vector<std::string> shard_paths;
-  for (size_t shard = 0; shard < spec_.shard_count; ++shard) {
-    CampaignSpec child = spec_;
-    child.shard_index = shard;
-    child.journal_path = spec_.ShardJournalPath(shard);
-    child.json = false;
-    child.abort_after_records = 0;
-    // A leftover shard journal is a killed orchestration's completed work:
-    // resume it instead of discarding it. Finished shards replay entirely
-    // from disk; a journal recorded under a different campaign identity
-    // makes the child's engine refuse, which surfaces as the shard failing.
-    child.resume = FileExists(child.journal_path);
-    shard_paths.push_back(child.journal_path);
-    children.push_back(std::move(child));
-  }
-
-  // Every shard sees at most the whole budget's job stream, so the budget
-  // is the (conservative) per-child job bound the derived deadline uses.
-  if (!RunShardChildren(children, spec_.budget, error)) {
-    return std::nullopt;
-  }
-
-  return MergeCampaignJournals(shard_paths, spec_.journal_path, error, spec_.format);
-}
-
-bool CampaignDriver::RunShardChildren(const std::vector<CampaignSpec>& children,
-                                      size_t jobs_hint, std::string* error) {
-  ShardSupervisor::Options options;
-  options.tool_path = tool_path_;
-  options.max_retries = spec_.max_retries;
-  options.backoff_ms = spec_.backoff_ms;
-  // The per-child deadline: explicit wins; otherwise derive one from the
-  // per-job budget (a child runs at most jobs_hint jobs plus startup/merge
-  // slack). No budget at all = no deadline -- hang detection is opt-in.
-  options.child_timeout_ms = spec_.child_timeout_ms;
-  if (options.child_timeout_ms == 0 && spec_.job_timeout_ms != 0) {
-    size_t jobs = jobs_hint != 0 ? jobs_hint : 64;
-    options.child_timeout_ms = spec_.job_timeout_ms * static_cast<uint64_t>(jobs + 2);
-  }
-  ShardSupervisor supervisor(options,
-                             [](const CampaignSpec& child, std::string* child_error) {
-                               CampaignDriver driver(child);
-                               return driver.Run(child_error).has_value();
-                             });
-  return supervisor.Run(children, error);
-}
-
-std::optional<CampaignOutcome> CampaignDriver::RunEpochOrchestration(std::string* error) {
-  auto fail = [&](std::string message) -> std::optional<CampaignOutcome> {
-    if (error != nullptr) {
-      *error = std::move(message);
-    }
-    return std::nullopt;
-  };
-  const size_t batch_size = CampaignEngine::Options::kDefaultBatchSize;
 
   // Resume loads the merged journal (possibly torn by a kill) and replays
   // its complete epochs through the loop below; a fresh run refuses to
@@ -740,19 +659,19 @@ std::optional<CampaignOutcome> CampaignDriver::RunEpochOrchestration(std::string
   }
   ConfigureAnalysisCacheDir(spec_.journal_path);
 
-  const SystemEntry* entry = FindSystem(spec_.system);
-  ExploreInputs inputs = BuildExploreInputs(*entry);
-  CoverageGuidedSource::Options master_options;
-  master_options.budget = spec_.budget != 0 ? spec_.budget : 64;
-  master_options.seed = spec_.seed;
-  CoverageGuidedSource master(inputs.reports, inputs.lookup(), master_options);
+  // The master: the spec's own unsharded stream, the one every child deals.
+  std::unique_ptr<JobStream> stream = BuildJobStream(spec_, error);
+  if (!stream) {
+    return std::nullopt;
+  }
+  ScenarioSource& master = *stream->source;
 
-  // The merged journal is written exactly the way the single-process
-  // --epoch-len run writes its own: the same header (no shard keys), records
-  // appended in stream order as epochs merge, one Finalize at the very end.
-  // On resume the file is rewritten from record zero -- appending the loaded
-  // records unchanged reseals extents at the same boundaries, so the rewrite
-  // is bit-identical and cleanly discards any torn tail the kill left.
+  // The merged journal is written exactly the way the single-process run
+  // writes its own: the same header (no shard keys), records appended in
+  // stream order as epochs merge, one Finalize at the very end. On resume
+  // the file is rewritten from record zero -- appending the loaded records
+  // unchanged reseals extents at the same boundaries, so the rewrite is
+  // bit-identical and cleanly discards any torn tail the kill left.
   CampaignJournal merged;
   if (!merged.Create(spec_.journal_path, spec_.ToJournalMeta(), error, format)) {
     return std::nullopt;
@@ -760,148 +679,163 @@ std::optional<CampaignOutcome> CampaignDriver::RunEpochOrchestration(std::string
   MergeFoldState fold;
   std::deque<JournalRecord> replay(loaded.begin(), loaded.end());
   size_t appended_live = 0;
+  size_t streamed = 0;  // jobs the master has enumerated so far
   std::vector<MergeInputStats> shard_stats(spec_.shard_count);
   std::vector<std::set<FoundBug>> shard_bugs(spec_.shard_count);
   for (size_t shard = 0; shard < spec_.shard_count; ++shard) {
-    shard_stats[shard].path = spec_.journal_path + StrFormat(".epoch*.shard%zu", shard);
+    shard_stats[shard].path = spec_.epoch_len != 0
+                                  ? spec_.journal_path + StrFormat(".epoch*.shard%zu", shard)
+                                  : spec_.ShardJournalPath(shard);
     shard_stats[shard].shard_index = shard;
   }
 
   for (size_t epoch = 0;; ++epoch) {
-    // The epoch's schedule is a pure function of the frontier: snapshot it
-    // first, then enumerate the epoch's jobs from the master source exactly
-    // as the single-process engine would -- up to epoch_len batches, ending
-    // early if the frontier runs dry (feedback for these jobs arrives only
+    // The epoch's schedule is a pure function of the master's state:
+    // snapshot its frontier first (feedback-driven masters have one), then
+    // enumerate the epoch's jobs exactly as the single-process engine would
+    // -- epoch_len batches, or the whole stream when epoch_len is 0, ending
+    // early if the source runs dry (feedback for these jobs arrives only
     // after the epoch merges, so enumeration is open-loop by construction).
-    FrontierState frontier = master.ExportFrontier();
+    std::optional<FrontierState> frontier = master.EpochFrontier();
     std::vector<CampaignJob> jobs;
-    size_t batches = 0;
-    while (batches < spec_.epoch_len) {
-      std::vector<CampaignJob> next = master.NextBatch(batch_size);
+    for (size_t batches = 0; spec_.epoch_len == 0 || batches < spec_.epoch_len; ++batches) {
+      std::vector<CampaignJob> next = master.NextBatch(CampaignEngine::Options::kDefaultBatchSize);
       if (next.empty()) {
         break;
       }
-      ++batches;
       for (CampaignJob& job : next) {
+        // Positions the source leaves to the engine, stamped as ShardSource
+        // stamps them in the children.
+        if (job.stream_index == CampaignJob::kNoStreamIndex) {
+          job.stream_index = streamed;
+        }
+        ++streamed;
         jobs.push_back(std::move(job));
       }
     }
     if (jobs.empty()) {
       break;  // frontier exhausted or budget reached: the campaign is over
     }
+    // Records carry an epoch stamp exactly when the campaign has epoch-len.
+    const size_t stamp = spec_.epoch_len != 0 ? epoch : kNoEpoch;
 
+    std::vector<JournalRecord> records;
     if (replay.size() >= jobs.size()) {
-      // The merged journal fully covers this epoch: replay it. Loaded
-      // records substitute for child work, and the master receives the
-      // epoch's feedback exactly as if the epoch had just merged.
-      for (size_t i = 0; i < jobs.size(); ++i) {
-        const JournalRecord& record = replay[i];
-        if (record.label != jobs[i].label || record.stream_index != jobs[i].stream_index ||
-            record.epoch != epoch) {
-          return fail(StrFormat(
-              "journal %s does not align with the regenerated stream at record %zu "
-              "('%s' where the frontier schedules '%s'); it was not recorded by this spec",
-              spec_.journal_path.c_str(), fold.records + i, record.label.c_str(),
-              jobs[i].label.c_str()));
-        }
-      }
+      // The merged journal fully covers this epoch: its loaded records
+      // substitute for child work, refolded through the engine's fold (the
+      // recomputed feedback equals the recorded copy, so bytes don't change).
       for (size_t i = 0; i < jobs.size(); ++i) {
         JournalRecord record = std::move(replay.front());
         replay.pop_front();
-        // The engine's fold, continued across the rewrite: the recomputed
-        // feedback equals the recorded copy, so the bytes do not change.
         record.feedback = fold.Fold(record.result, record.gated, record.stream_index);
         if (!merged.Append(record)) {
           return fail("journal append failed rewriting " + spec_.journal_path +
                       ": disk full or I/O error");
         }
-        master.OnFeedback(jobs[i], record.feedback);
+        records.push_back(std::move(record));
       }
-      continue;
-    }
-    // The first epoch the merged journal does not fully cover runs live. Its
-    // partial records (the kill's torn tail) are discarded: the sealed
-    // per-epoch shard journals are the durable copy the epoch is rebuilt
-    // from, and a shard whose journal already completed replays it from disk
-    // without re-executing anything.
-    replay.clear();
+    } else {
+      // The first epoch the merged journal does not fully cover runs live.
+      // Its partial records (the kill's torn tail) are discarded: the sealed
+      // shard journals are the durable copy the epoch is rebuilt from, and a
+      // shard whose journal already completed replays it from disk.
+      replay.clear();
 
-    // The frontier export is tmp+rename like every artifact a child (or a
-    // resumed orchestrator) may read: a crash mid-write must never leave a
-    // half-written snapshot where a complete one is expected.
-    std::string frontier_path = spec_.EpochFrontierPath(epoch);
-    {
-      std::string tmp_path = frontier_path + ".tmp";
-      std::ofstream out(tmp_path);
-      out << frontier.ToXml();
-      bool ok = out.good();
-      out.close();
-      if (FailpointFired("frontier.write")) {
-        ok = false;
+      // The frontier export is tmp+rename like every artifact a child (or a
+      // resumed orchestrator) may read: a crash mid-write must never leave
+      // a half-written snapshot where a complete one is expected.
+      std::string frontier_path;
+      if (frontier) {
+        frontier_path = spec_.EpochFrontierPath(epoch);
+        std::string tmp_path = frontier_path + ".tmp";
+        std::ofstream out(tmp_path);
+        out << frontier->ToXml();
+        bool ok = out.good();
+        out.close();
+        if (FailpointFired("frontier.write")) {
+          ok = false;
+        }
+        if (!ok || std::rename(tmp_path.c_str(), frontier_path.c_str()) != 0) {
+          return fail("cannot write frontier snapshot " + frontier_path);
+        }
       }
-      if (!ok || std::rename(tmp_path.c_str(), frontier_path.c_str()) != 0) {
-        return fail("cannot write frontier snapshot " + frontier_path);
+
+      std::vector<CampaignSpec> children;
+      for (size_t shard = 0; shard < spec_.shard_count; ++shard) {
+        CampaignSpec child = spec_;
+        child.shard_index = shard;
+        child.epoch_index = stamp;
+        child.journal_path = stamp != kNoEpoch ? spec_.EpochShardJournalPath(epoch, shard)
+                                               : spec_.ShardJournalPath(shard);
+        child.frontier_path = frontier_path;
+        child.json = false;
+        child.abort_after_records = 0;
+        // A leftover shard journal is a killed orchestration's completed
+        // work: resume it (a complete one replays wholly from disk).
+        child.resume = FileExists(child.journal_path);
+        children.push_back(std::move(child));
       }
-    }
-
-    std::vector<CampaignSpec> children;
-    for (size_t shard = 0; shard < spec_.shard_count; ++shard) {
-      CampaignSpec child = spec_;
-      child.shard_index = shard;
-      child.epoch_index = epoch;
-      child.journal_path = spec_.EpochShardJournalPath(epoch, shard);
-      child.frontier_path = frontier_path;
-      child.json = false;
-      child.abort_after_records = 0;
-      // A leftover epoch-shard journal is a killed orchestration's completed
-      // work: resume it (a complete one replays wholly from disk).
-      child.resume = FileExists(child.journal_path);
-      children.push_back(std::move(child));
-    }
-    if (!RunShardChildren(children, jobs.size(), error)) {
-      return std::nullopt;
-    }
-
-    std::vector<CampaignJournal> epoch_journals;
-    for (const CampaignSpec& child : children) {
-      auto journal = CampaignJournal::Load(child.journal_path, error);
-      if (!journal) {
+      ShardSupervisor::Options supervision;
+      supervision.tool_path = tool_path_;
+      supervision.max_retries = spec_.max_retries;
+      supervision.backoff_ms = spec_.backoff_ms;
+      // Explicit deadline, or one derived from the per-job budget: a child
+      // runs at most the epoch's jobs, plus startup and merge slack.
+      supervision.child_timeout_ms =
+          spec_.child_timeout_ms != 0
+              ? spec_.child_timeout_ms
+              : spec_.job_timeout_ms * static_cast<uint64_t>(jobs.size() + 2);
+      ShardSupervisor supervisor(supervision,
+                                 [](const CampaignSpec& child, std::string* child_error) {
+                                   return CampaignDriver(child).Run(child_error).has_value();
+                                 });
+      if (!supervisor.Run(children, error)) {
         return std::nullopt;
       }
-      epoch_journals.push_back(std::move(*journal));
+
+      std::vector<CampaignJournal> epoch_journals;
+      for (const CampaignSpec& child : children) {
+        auto journal = CampaignJournal::Load(child.journal_path, error);
+        if (!journal) {
+          return std::nullopt;
+        }
+        epoch_journals.push_back(std::move(*journal));
+      }
+      if (!MergeRecordsInto(merged, epoch_journals, &fold, error, &records)) {
+        return std::nullopt;
+      }
+      for (size_t shard = 0; shard < epoch_journals.size(); ++shard) {
+        TallyMergeInput(epoch_journals[shard], &shard_stats[shard], &shard_bugs[shard]);
+      }
+      appended_live += records.size();
     }
-    std::vector<JournalRecord> merged_records;
-    if (!MergeRecordsInto(merged, epoch_journals, &fold, error, &merged_records)) {
-      return std::nullopt;
-    }
-    if (merged_records.size() != jobs.size()) {
-      return fail(StrFormat("epoch %zu merged %zu records but the frontier scheduled %zu "
+
+    // Replayed or merged, the epoch must be the one the master scheduled.
+    if (records.size() != jobs.size()) {
+      return fail(StrFormat("epoch %zu merged %zu records but the master scheduled %zu "
                             "jobs; a shard child diverged from the schedule",
-                            epoch, merged_records.size(), jobs.size()));
+                            epoch, records.size(), jobs.size()));
     }
     for (size_t i = 0; i < jobs.size(); ++i) {
-      if (merged_records[i].label != jobs[i].label ||
-          merged_records[i].stream_index != jobs[i].stream_index) {
-        return fail(StrFormat("epoch %zu record %zu is '%s' where the frontier scheduled "
-                              "'%s'; a shard child diverged from the schedule",
-                              epoch, i, merged_records[i].label.c_str(),
-                              jobs[i].label.c_str()));
+      if (records[i].label != jobs[i].label || records[i].stream_index != jobs[i].stream_index ||
+          records[i].epoch != stamp) {
+        return fail(StrFormat("epoch %zu record %zu is '%s' where the master scheduled '%s'; "
+                              "the journal or a shard child diverged from this spec's stream",
+                              epoch, i, records[i].label.c_str(), jobs[i].label.c_str()));
       }
     }
-    for (size_t shard = 0; shard < epoch_journals.size(); ++shard) {
-      TallyMergeInput(epoch_journals[shard], &shard_stats[shard], &shard_bugs[shard]);
-    }
-    // The epoch boundary: the whole epoch's feedback reaches the master
-    // frontier at once, in stream order -- exactly the single-process
-    // engine's deferred epoch flush.
+    // The epoch boundary: the whole epoch's feedback reaches the master at
+    // once, in stream order -- exactly the single-process engine's deferred
+    // epoch flush.
     for (size_t i = 0; i < jobs.size(); ++i) {
-      master.OnFeedback(jobs[i], merged_records[i].feedback);
+      master.OnFeedback(jobs[i], records[i].feedback);
     }
-    appended_live += merged_records.size();
     if (spec_.abort_after_records != 0 && appended_live >= spec_.abort_after_records) {
       // The kill-and-resume test hook, mirroring the engine's: die without
       // finalizing. The sealed shard journals plus the merged journal's
       // sealed extents are exactly what resume rebuilds from.
+      std::fprintf(stderr, "orchestrator: simulated kill after %zu merged record(s)\n",
+                   appended_live);
       std::_Exit(3);
     }
   }

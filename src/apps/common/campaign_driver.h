@@ -11,13 +11,19 @@
 // CampaignEngine::Run(ScenarioSource&, runner).
 //
 // Multi-process campaigns are a property of the spec, not separate wiring:
-// a spec with shard_count > 1 and no shard_index makes Run() orchestrate --
-// every shard executes the same deterministic spec with shard=i/N (dealt by
-// scenario fingerprint, core/exploration.h ShardSource) into
-// spec.ShardJournalPath(i), either as spawned `lfi_tool run-spec` child
-// processes (set_tool_path) or in-process, and the per-shard journals are
-// then merged (core/journal.h MergeJournals) into spec.journal_path as a
-// valid, resumable single-process journal.
+// a spec with shard_count > 1 and no shard_index makes Run() orchestrate,
+// and there is one orchestrator for every shardable spec. It runs the epoch
+// protocol: a master enumerates the spec's job stream one epoch at a time;
+// every shard child rebuilds the same stream (from the epoch's frontier
+// snapshot when the source is feedback-driven) and runs the share dealt to
+// it by scenario fingerprint (core/exploration.h ShardSource); the epoch's
+// shard journals are then merged (core/journal.h MergeRecordsInto) into
+// spec.journal_path, a valid, resumable single-process journal. An
+// open-loop spec (Table 1, exhaustive or random explore; epoch_len 0) is a
+// one-epoch campaign whose children write spec.ShardJournalPath(i); an
+// epoch-len coverage spec writes spec.EpochShardJournalPath(e, i) per epoch.
+// Children are spawned `lfi_tool run-spec` processes (set_tool_path) or
+// forked from this process without exec.
 
 #ifndef LFI_APPS_COMMON_CAMPAIGN_DRIVER_H_
 #define LFI_APPS_COMMON_CAMPAIGN_DRIVER_H_
@@ -57,7 +63,8 @@ struct CampaignOutcome {
   std::string journal_path;
   // The journal header (resume/replay/shard: what the artifact records).
   JournalMetadata metadata;
-  // Shard orchestration: one entry per shard, from its merged journal.
+  // Shard orchestration: one entry per shard, tallied from its merged
+  // journals (an epoch campaign's row names them "<journal>.epoch*.shard<i>").
   std::vector<MergeInputStats> shards;
   // Replay mode: per-injection detail plus the pass/fail summary.
   std::vector<ReplayOutcome> replays;
@@ -73,8 +80,8 @@ class CampaignDriver {
 
   // Path to the lfi_tool binary (argv[0]): shard orchestration spawns
   // `<tool_path> run-spec <spec.xml>` child processes, one per shard. Empty
-  // (the default) runs the shards in-process, sequentially -- same results,
-  // no process isolation.
+  // (the default) forks each child from this process without exec -- same
+  // results, same supervision.
   void set_tool_path(std::string path) { tool_path_ = std::move(path); }
 
   const CampaignSpec& spec() const { return spec_; }
@@ -85,26 +92,16 @@ class CampaignDriver {
   std::optional<CampaignOutcome> Run(std::string* error = nullptr);
 
  private:
-  std::optional<CampaignOutcome> RunTable1(std::string* error);
-  std::optional<CampaignOutcome> RunExplore(std::string* error);
+  // A single-process run of the spec's job stream; a shard child runs only
+  // its dealt share of it.
+  std::optional<CampaignOutcome> RunLocal(std::string* error);
   std::optional<CampaignOutcome> RunResume(std::string* error);
   std::optional<CampaignOutcome> RunReplay(std::string* error);
-  std::optional<CampaignOutcome> RunShardOrchestration(std::string* error);
-  // Epoch-synchronized distributed coverage-guided exploration (the spec has
-  // shard_count > 1, the coverage strategy, and epoch_len > 0): runs the
-  // spawn -> merge -> reseed loop docs/architecture.md specifies, producing a
-  // merged journal byte-identical to the single-process --epoch-len run.
-  std::optional<CampaignOutcome> RunEpochOrchestration(std::string* error);
-  // Runs one child campaign per spec under the ShardSupervisor
-  // (apps/common/shard_supervisor.h): exec'd `lfi_tool run-spec` processes
-  // when the tool path is known, fork-without-exec child processes
-  // otherwise (threads on non-POSIX). The supervisor applies the spec's
-  // deadline/retry/backoff policy; `jobs_hint` (jobs a child may run, 0 =
-  // unknown) sizes the derived per-child deadline when the spec sets
-  // job_timeout_ms but no child_timeout_ms. False + *error when a child
-  // exhausts its retries.
-  bool RunShardChildren(const std::vector<CampaignSpec>& children, size_t jobs_hint,
-                        std::string* error);
+  // The one multi-process path (shard_count > 1, no shard_index): the epoch
+  // loop docs/architecture.md specifies -- enumerate an epoch from the
+  // master stream, run one child per shard, merge, feed back, repeat --
+  // producing a merged journal byte-identical to the single-process run's.
+  std::optional<CampaignOutcome> RunOrchestration(std::string* error);
 
   CampaignSpec spec_;
   std::string tool_path_;

@@ -77,10 +77,12 @@ struct CampaignSpec {
   // it stopped (kResume sets this implicitly after reading the header).
   bool resume = false;
   // Multi-process sharding. shard_count > 1 with shard_index unset makes
-  // CampaignDriver orchestrate: run every shard (spawning child processes
-  // when it knows the lfi_tool path), then merge the per-shard journals.
-  // With shard_index set, this process runs only that shard of the
-  // deterministic stream into ShardJournalPath-style artifacts.
+  // CampaignDriver orchestrate: the epoch protocol, one epoch for an
+  // open-loop spec (epoch_len 0), runs one child per shard per epoch and
+  // merges their journals. With shard_index set, this process runs only
+  // that shard's deal of the deterministic stream, into ShardJournalPath
+  // (one-epoch campaigns) or EpochShardJournalPath artifacts. Never part of
+  // the identity: `resume --shards N` continues any shardable journal.
   size_t shard_index = kNoShard;
   size_t shard_count = 1;
   // Epoch-synchronized exploration: with epoch_len != 0 the coverage-guided
@@ -89,15 +91,19 @@ struct CampaignSpec {
   // function of the spec -- the property that lets shard_count > 1 combine
   // with the coverage strategy (shards run whole epochs blind, the
   // orchestrator merges and reseeds between epochs) while staying
-  // bit-identical to the single-process run. Part of the campaign identity
-  // (journal key "epoch-len") whenever nonzero.
+  // bit-identical to the single-process run. 0 = one epoch spanning the
+  // whole stream, which only open-loop strategies can shard. Part of the
+  // campaign identity (journal key "epoch-len") whenever nonzero, and
+  // exactly then are journal records epoch-stamped.
   size_t epoch_len = 0;
-  // Shard-child runs of one epoch carry the epoch ordinal so their journal
-  // records are stamped (and their artifacts labelled) correctly. Never part
-  // of the merged identity -- MergeJournals strips it with the shard keys.
+  // Shard-child runs of one epoch of an epoch_len campaign carry the epoch
+  // ordinal so their journal records are stamped (and their artifacts
+  // labelled) correctly; kNoEpoch in one-epoch campaigns. Never part of the
+  // merged identity -- MergeJournals strips it with the shard keys.
   size_t epoch_index = kNoEpoch;
-  // Epoch children: path of the frontier snapshot (FrontierState XML) the
-  // child reseeds its source from before running. Never journaled.
+  // Epoch children of a feedback-driven campaign: path of the frontier
+  // snapshot (FrontierState XML) the child reseeds its source from before
+  // running (ScenarioSource::EpochFrontier). Never journaled.
   std::string frontier_path = {};
   bool json = false;  // machine-readable reporting (CLI presentation hint)
   // --- supervision policy (apps/common/shard_supervisor.h) -----------------

@@ -1,8 +1,8 @@
 // Fault-tolerant shard child supervision.
 //
-// The orchestration paths in CampaignDriver (plain shard/merge and the epoch
-// protocol) hand their per-shard child specs to this supervisor instead of
-// the old fork-and-block loop. The supervisor owns the child lifecycle:
+// CampaignDriver's one orchestrator hands each epoch's per-shard child specs
+// to this supervisor (an open-loop campaign has a single epoch). The
+// supervisor owns the child lifecycle:
 //
 //   spawn -> running -> reaped clean                      (done)
 //                    -> nonzero exit / killed by signal   -> backoff -> respawn

@@ -23,6 +23,8 @@ void ScenarioSource::OnFeedback(const CampaignJob& job, const RunFeedback& feedb
   (void)feedback;
 }
 
+std::optional<FrontierState> ScenarioSource::EpochFrontier() const { return std::nullopt; }
+
 // --- RunFeedback XML --------------------------------------------------------
 
 void RunFeedback::AppendXml(XmlNode* parent) const {

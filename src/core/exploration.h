@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -67,6 +68,8 @@ struct RunFeedback {
                                           std::string* error = nullptr);
 };
 
+struct FrontierState;
+
 // A pull-based producer of campaign jobs. NextBatch() returning an empty
 // vector ends the campaign. The engine calls OnFeedback() once per merged
 // job, in job order, at its merge point -- possibly on a worker thread, under
@@ -87,6 +90,12 @@ class ScenarioSource {
   // depends on feedback, so the engine may drain it up front and run
   // everything in one barrier-free pass. Feedback is still delivered.
   virtual bool needs_feedback() const { return false; }
+
+  // The state a shard child must import to re-derive the next epoch's jobs
+  // (the epoch protocol's frontier snapshot), taken at an epoch boundary.
+  // Default: nullopt -- an open-loop source's stream is a function of the
+  // spec alone, so every shard rebuilds it from the start without one.
+  virtual std::optional<FrontierState> EpochFrontier() const;
 };
 
 // Streams a prebuilt job list in order: the paper's one-shot generation,
@@ -235,6 +244,7 @@ class CoverageGuidedSource : public ScenarioSource {
   // silently dropping it would fork the schedule.
   FrontierState ExportFrontier() const;
   void ImportFrontier(const FrontierState& state);
+  std::optional<FrontierState> EpochFrontier() const override { return ExportFrontier(); }
 
  private:
   using Plan = FrontierState::Plan;

@@ -447,6 +447,49 @@ size_t ShardIndexOf(const CampaignJournal& journal) {
 
 }  // namespace
 
+std::string JournalInvariantViolation(const CampaignJournal& journal) {
+  const std::string epoch_len = journal.Meta("epoch-len", "");
+  const std::string artifact_epoch = journal.Meta("epoch", "");
+  if (!artifact_epoch.empty() && epoch_len.empty()) {
+    return "header records shard-artifact epoch " + artifact_epoch + " but no epoch-len";
+  }
+  size_t prev_stream = JournalRecord::kNoStreamIndex;
+  size_t prev_epoch = kNoEpoch;
+  for (size_t i = 0; i < journal.records().size(); ++i) {
+    const JournalRecord& record = journal.records()[i];
+    if (record.stream_index != JournalRecord::kNoStreamIndex) {
+      if (prev_stream != JournalRecord::kNoStreamIndex && record.stream_index <= prev_stream) {
+        return StrFormat("record %zu stream index %zu does not advance past %zu (overlapping "
+                         "or reordered shard records)",
+                         i, record.stream_index, prev_stream);
+      }
+      prev_stream = record.stream_index;
+    }
+    bool stamped = record.epoch != kNoEpoch;
+    if (stamped && epoch_len.empty()) {
+      return StrFormat("record %zu is stamped epoch %zu, but the header has no epoch-len", i,
+                       record.epoch);
+    }
+    if (!stamped && !epoch_len.empty()) {
+      return StrFormat("record %zu has no epoch stamp, but the header has epoch-len %s", i,
+                       epoch_len.c_str());
+    }
+    if (!stamped) {
+      continue;
+    }
+    if (prev_epoch != kNoEpoch && record.epoch < prev_epoch) {
+      return StrFormat("record %zu regresses to epoch %zu after epoch %zu", i, record.epoch,
+                       prev_epoch);
+    }
+    prev_epoch = record.epoch;
+    if (!artifact_epoch.empty() && StrFormat("%zu", record.epoch) != artifact_epoch) {
+      return StrFormat("record %zu is stamped epoch %zu in a shard artifact of epoch %s", i,
+                       record.epoch, artifact_epoch.c_str());
+    }
+  }
+  return "";
+}
+
 RunFeedback MergeFoldState::Fold(const JobResult& result, bool gated, size_t stream_index) {
   RunFeedback feedback;
   if (!gated) {

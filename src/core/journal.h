@@ -90,7 +90,7 @@ struct JournalRecord {
   // merged this record: feedback from epoch e reached the scenario source
   // only after every record of epoch e. kNoEpoch for ordinary campaigns.
   // Epochs are non-decreasing in record order and their stream-index ranges
-  // are disjoint (`lfi_tool journal info` validates both).
+  // are disjoint (JournalInvariantViolation checks both).
   size_t epoch = kNoEpoch;
   Scenario scenario;
   JobResult result;
@@ -235,6 +235,21 @@ class JournalSource : public ScenarioSource {
   std::vector<CampaignJob> jobs_;
   size_t next_ = 0;
 };
+
+// --- invariants -------------------------------------------------------------
+
+// The stream-index and epoch-stamp invariants every campaign journal keeps,
+// checked by `lfi_tool journal info` and `journal doctor`:
+//   - recorded stream indexes strictly advance;
+//   - records carry an epoch stamp exactly when the header has "epoch-len"
+//     (an epoch-len journal has no unstamped record anywhere, a plain one no
+//     stamped record), and stamps never regress;
+//   - a per-epoch shard artifact (header key "epoch") holds only records
+//     stamped with that epoch, and exists only inside an epoch-len campaign.
+// "" when they hold; otherwise a description of the first violation. A
+// journal that fails was merged from overlapping or reordered shard
+// artifacts, or written by something other than this campaign engine.
+std::string JournalInvariantViolation(const CampaignJournal& journal);
 
 // --- merging ----------------------------------------------------------------
 

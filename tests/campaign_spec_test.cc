@@ -387,6 +387,116 @@ TEST(ShardedCampaign, MoreShardsThanScenariosLeavesValidEmptyShardJournals) {
   EXPECT_EQ(ReadFile(merged_path), ReadFile(single_path));
 }
 
+// Table 1 jobs that carry their own runners (bind's dst_lib_init sweep,
+// bfs's partial-transfer phase) shard through the same orchestrator as
+// exploration: the merged journal is the single-process journal, byte for
+// byte.
+TEST(ShardedCampaign, ExhaustiveTable1ShardsByteIdenticalToSingleProcess) {
+  EnsureStockTriggersRegistered();
+  for (const char* system : {"bind", "bfs"}) {
+    std::string single_path = TempPath(StrFormat("spec_t1_%s_single.lfij", system).c_str());
+    std::string merged_path = TempPath(StrFormat("spec_t1_%s_merged.lfij", system).c_str());
+    RemoveCampaignArtifacts(single_path);
+    RemoveCampaignArtifacts(merged_path, /*shards=*/3);
+
+    CampaignSpec spec;
+    spec.system = system;
+    spec.mode = CampaignMode::kTable1;
+    spec.exhaustive = true;
+
+    CampaignSpec single = spec;
+    single.journal_path = single_path;
+    std::string error;
+    auto single_outcome = CampaignDriver(single).Run(&error);
+    ASSERT_TRUE(single_outcome.has_value()) << error;
+    ASSERT_FALSE(single_outcome->bugs.empty()) << system;
+
+    CampaignSpec sharded = spec;
+    sharded.journal_path = merged_path;
+    sharded.shard_count = 3;
+    auto sharded_outcome = CampaignDriver(sharded).Run(&error);
+    ASSERT_TRUE(sharded_outcome.has_value()) << error;
+    EXPECT_EQ(sharded_outcome->shards.size(), 3u);
+    EXPECT_EQ(sharded_outcome->bugs, single_outcome->bugs) << system;
+    EXPECT_EQ(ReadFile(merged_path), ReadFile(single_path)) << system;
+  }
+}
+
+#if defined(__unix__) || defined(__APPLE__)
+
+// An open-loop orchestration killed by its abort hook (after merging, before
+// finalizing) resumes as a sharded campaign and converges to the
+// single-process journal's bytes.
+TEST(ShardedCampaign, KilledRandomExploreResumesShardedByteIdentical) {
+  EnsureStockTriggersRegistered();
+  std::string single_path = TempPath("spec_kill_single.lfij");
+  std::string killed_path = TempPath("spec_kill_sharded.lfij");
+  RemoveCampaignArtifacts(single_path);
+  RemoveCampaignArtifacts(killed_path, /*shards=*/4);
+
+  CampaignSpec spec;
+  spec.system = "pbft";
+  spec.mode = CampaignMode::kExplore;
+  spec.strategy = ExploreStrategy::kRandom;
+  spec.budget = 16;
+  spec.seed = 5;
+
+  CampaignSpec single = spec;
+  single.journal_path = single_path;
+  std::string error;
+  auto single_outcome = CampaignDriver(single).Run(&error);
+  ASSERT_TRUE(single_outcome.has_value()) << error;
+
+  CampaignSpec killed = spec;
+  killed.journal_path = killed_path;
+  killed.shard_count = 4;
+  killed.abort_after_records = 4;
+  EXPECT_EXIT(CampaignDriver(killed).Run(), ::testing::ExitedWithCode(3), "simulated kill");
+
+  CampaignSpec resume;
+  resume.mode = CampaignMode::kResume;
+  resume.journal_path = killed_path;
+  resume.shard_count = 4;
+  auto resumed = CampaignDriver(resume).Run(&error);
+  ASSERT_TRUE(resumed.has_value()) << error;
+  EXPECT_EQ(resumed->bugs, single_outcome->bugs);
+  EXPECT_EQ(resumed->scenarios_run, single_outcome->scenarios_run);
+  EXPECT_EQ(resumed->coverage.hits(), single_outcome->coverage.hits());
+  EXPECT_EQ(ReadFile(killed_path), ReadFile(single_path));
+}
+
+#endif  // defined(__unix__) || defined(__APPLE__)
+
+// `resume --shards N` of a finished single-process journal replays it
+// through the orchestrator without touching a byte.
+TEST(ShardedCampaign, ShardedResumeOfASingleProcessJournalKeepsItsBytes) {
+  EnsureStockTriggersRegistered();
+  std::string path = TempPath("spec_plain_resume.lfij");
+  RemoveCampaignArtifacts(path, /*shards=*/2);
+
+  CampaignSpec spec;
+  spec.system = "pbft";
+  spec.mode = CampaignMode::kExplore;
+  spec.strategy = ExploreStrategy::kRandom;
+  spec.budget = 12;
+  spec.seed = 5;
+  spec.journal_path = path;
+  std::string error;
+  auto outcome = CampaignDriver(spec).Run(&error);
+  ASSERT_TRUE(outcome.has_value()) << error;
+  std::string bytes = ReadFile(path);
+
+  CampaignSpec resume;
+  resume.mode = CampaignMode::kResume;
+  resume.journal_path = path;
+  resume.shard_count = 2;
+  auto resumed = CampaignDriver(resume).Run(&error);
+  ASSERT_TRUE(resumed.has_value()) << error;
+  EXPECT_EQ(resumed->bugs, outcome->bugs);
+  EXPECT_EQ(resumed->scenarios_run, outcome->scenarios_run);
+  EXPECT_EQ(ReadFile(path), bytes);
+}
+
 // Merging journals from different campaigns must be refused, not silently
 // interleaved.
 TEST(ShardedCampaign, MergeRejectsMismatchedCampaignIdentity) {

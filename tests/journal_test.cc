@@ -2,7 +2,8 @@
 // artifact (property-style, over randomized values including attribute
 // escaping edge cases), journal file append/load/torn-tail semantics, the
 // kill-and-resume determinism contract, disk-only replay of journaled
-// injections, and JournalSource seeding/sharding.
+// injections, JournalSource seeding/sharding, and the stream-index/epoch-stamp
+// invariants `journal info` and `journal doctor` enforce.
 
 #include <gtest/gtest.h>
 
@@ -796,6 +797,101 @@ TEST(CampaignJournal, DoctorIdentitySurfaceRecognizesBfsAndRefusesUnknown) {
   }
   auto refused = CampaignSpec::FromJournalMeta(unknown, &error);
   EXPECT_TRUE(!refused.has_value() || !refused->Validate().empty());
+}
+
+// --- stream-index / epoch-stamp invariants ---------------------------------
+
+// Writes a hand-built journal with one record per (stream index, epoch
+// stamp) pair, loads it back, and returns JournalInvariantViolation's
+// verdict on it.
+std::string InvariantVerdict(const char* name, JournalMetadata meta,
+                             const std::vector<std::pair<size_t, size_t>>& records) {
+  std::string path = TempPath(name);
+  std::remove(path.c_str());
+  CampaignJournal journal;
+  std::string error;
+  EXPECT_TRUE(journal.Create(path, meta, &error)) << error;
+  for (const auto& [stream_index, epoch] : records) {
+    JournalRecord record;
+    record.label = StrFormat("job-%zu", stream_index);
+    record.seed = 1;
+    record.stream_index = stream_index;
+    record.epoch = epoch;
+    EXPECT_TRUE(journal.Append(record));
+  }
+  EXPECT_TRUE(journal.Finalize(&error)) << error;
+  auto loaded = CampaignJournal::Load(path, &error);
+  EXPECT_TRUE(loaded.has_value()) << error;
+  return loaded ? JournalInvariantViolation(*loaded) : "unloadable";
+}
+
+JournalMetadata PlainMeta() {
+  return {{"command", "explore"}, {"system", "pbft"}, {"strategy", "coverage"},
+          {"budget", "8"},        {"seed", "0x1"}};
+}
+
+JournalMetadata EpochMeta() {
+  JournalMetadata meta = PlainMeta();
+  meta.emplace_back("epoch-len", "2");
+  return meta;
+}
+
+JournalMetadata EpochArtifactMeta(const char* epoch) {
+  JournalMetadata meta = EpochMeta();
+  meta.emplace_back("shard", "1");
+  meta.emplace_back("shards", "2");
+  meta.emplace_back("epoch", epoch);
+  return meta;
+}
+
+TEST(JournalInvariants, HealthyJournalsPass) {
+  EXPECT_EQ(InvariantVerdict("inv_plain.lfij", PlainMeta(), {{0, kNoEpoch}, {1, kNoEpoch}}),
+            "");
+  EXPECT_EQ(InvariantVerdict("inv_epochs.lfij", EpochMeta(), {{0, 0}, {1, 0}, {2, 1}, {3, 2}}),
+            "");
+  // A dealt shard's stream indexes skip, but still advance.
+  EXPECT_EQ(InvariantVerdict("inv_artifact.lfij", EpochArtifactMeta("1"), {{3, 1}, {6, 1}}),
+            "");
+  EXPECT_EQ(InvariantVerdict("inv_empty.lfij", EpochMeta(), {}), "");
+}
+
+TEST(JournalInvariants, StampsWithoutEpochLenAreRejected) {
+  std::string verdict =
+      InvariantVerdict("inv_stamp_no_len.lfij", PlainMeta(), {{0, 0}, {1, 0}});
+  EXPECT_NE(verdict.find("no epoch-len"), std::string::npos) << verdict;
+}
+
+TEST(JournalInvariants, EpochLenWithUnstampedRecordsIsRejected) {
+  std::string verdict =
+      InvariantVerdict("inv_len_no_stamp.lfij", EpochMeta(), {{0, kNoEpoch}, {1, kNoEpoch}});
+  EXPECT_NE(verdict.find("no epoch stamp"), std::string::npos) << verdict;
+}
+
+TEST(JournalInvariants, UnstampedRecordsBeforeOrAfterStampedOnesAreRejected) {
+  std::string before =
+      InvariantVerdict("inv_unstamped_before.lfij", EpochMeta(), {{0, kNoEpoch}, {1, 0}});
+  EXPECT_NE(before.find("record 0"), std::string::npos) << before;
+  std::string after =
+      InvariantVerdict("inv_unstamped_after.lfij", EpochMeta(), {{0, 0}, {1, kNoEpoch}});
+  EXPECT_NE(after.find("record 1"), std::string::npos) << after;
+}
+
+TEST(JournalInvariants, ShardArtifactStampsMustMatchItsEpochKey) {
+  std::string verdict =
+      InvariantVerdict("inv_artifact_mismatch.lfij", EpochArtifactMeta("1"), {{3, 1}, {6, 2}});
+  EXPECT_NE(verdict.find("shard artifact of epoch 1"), std::string::npos) << verdict;
+  JournalMetadata no_len = PlainMeta();
+  no_len.emplace_back("epoch", "0");
+  verdict = InvariantVerdict("inv_artifact_no_len.lfij", no_len, {});
+  EXPECT_NE(verdict.find("no epoch-len"), std::string::npos) << verdict;
+}
+
+TEST(JournalInvariants, RegressingStreamIndexesAndEpochsAreRejected) {
+  std::string verdict =
+      InvariantVerdict("inv_stream_regress.lfij", PlainMeta(), {{0, kNoEpoch}, {0, kNoEpoch}});
+  EXPECT_NE(verdict.find("does not advance"), std::string::npos) << verdict;
+  verdict = InvariantVerdict("inv_epoch_regress.lfij", EpochMeta(), {{0, 1}, {1, 0}});
+  EXPECT_NE(verdict.find("regresses to epoch 0"), std::string::npos) << verdict;
 }
 
 }  // namespace
