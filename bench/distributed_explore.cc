@@ -168,8 +168,9 @@ int main(int argc, char** argv) {
     distributed.shard_count = shards;
 
     start = std::chrono::steady_clock::now();
-    // In-process shard children, one thread per shard: same artifacts as
-    // spawned `lfi_tool run-spec` processes, minus the exec/startup cost.
+    // No tool path: each shard child is forked from this process without
+    // exec -- same artifacts as spawned `lfi_tool run-spec` processes, minus
+    // the exec/startup cost.
     auto outcome = lfi::CampaignDriver(distributed).Run(&error);
     double total_ms = MsSince(start);
     if (!outcome) {

@@ -1,10 +1,10 @@
 // Journal encoding cost: bytes/record and load time, XML vs extent.
 //
 // Runs one pbft random exploration journaled in the extent encoding (the
-// default), tiles its records into a ~1k-record journal (pbft's random
-// scenario space saturates at a few hundred uniques; million-record
-// campaigns are this shape repeated), converts that artifact to the XML
-// debug encoding (conversion is bit-equivalent to a live XML-mode run, see
+// only one campaigns write), tiles its records into a ~1k-record journal
+// (pbft's random scenario space saturates at a few hundred uniques;
+// million-record campaigns are this shape repeated), converts that artifact
+// to XML with `journal convert` (lossless both ways, see
 // extent_journal_test.cc), and measures what `lfi_tool journal info` pays
 // on each: file size per record and full-load wall time (header + every
 // record + cumulative coverage -- the info/resume/merge read path). The
@@ -135,7 +135,7 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  if (!lfi::ConvertJournal(extent_path, xml_path, lfi::JournalFormat::kXml, &error)) {
+  if (!lfi::ConvertJournal(extent_path, xml_path, &error)) {
     std::fprintf(stderr, "convert failed: %s\n", error.c_str());
     return 1;
   }

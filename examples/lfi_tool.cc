@@ -39,7 +39,7 @@
 //                                            epoch (coverage strategy: needs
 //                                            --epoch-len K; the others run
 //                                            as one epoch)
-//   lfi_tool merge <out.xml> <in.xml...> [--json]
+//   lfi_tool merge <out> <in...> [--json]
 //                                            merge shard journals into one
 //                                            resumable campaign journal
 //   lfi_tool resume <journal> [--workers W] [--shards N] [--json]
@@ -58,10 +58,10 @@
 //                                            exits nonzero if the journal
 //                                            breaks the stream-index/epoch-
 //                                            stamp invariants
-//   lfi_tool journal convert <in> <out> [--format xml|extent]
-//                                            rewrite a journal in the other
-//                                            encoding (default) or the named
-//                                            one, losslessly
+//   lfi_tool journal convert <in> <out>      rewrite a journal in the other
+//                                            encoding (extent <-> XML),
+//                                            losslessly; the only way to get
+//                                            an XML journal
 //   lfi_tool journal doctor <path> [--repair] [--json]
 //                                            diagnose a journal artifact:
 //                                            torn tails, stale/missing extent
@@ -71,11 +71,13 @@
 //                                            naming an unknown target system,
 //                                            and orphaned shard/
 //                                            frontier artifacts. --repair
-//                                            truncates torn tails, reseals
-//                                            the footer, and removes orphans.
-//                                            Exit: 0 healthy/repaired, 1
-//                                            unreadable, 2 usage, 3
-//                                            repairable issues found, 4
+//                                            truncates torn extent tails,
+//                                            reseals the footer, and removes
+//                                            orphans; a torn XML tail is not
+//                                            repaired in place (journal
+//                                            convert drops it). Exit: 0
+//                                            healthy/repaired, 1 unreadable,
+//                                            2 usage, 3 issues found, 4
 //                                            invariant violation
 //   lfi_tool run-spec <spec.xml>             run a serialized CampaignSpec
 //                                            (the shard orchestrator's
@@ -88,10 +90,9 @@
 // itself; see src/util/failpoint.h for the spec syntax). None of these enter
 // the campaign identity.
 //
-// Journal-writing subcommands accept --format xml|extent to pick the on-disk
-// encoding of journals they create (docs/journal-format.md); the default is
-// the binary extent format, with XML kept as the debug/interchange encoding.
-// Reads always auto-detect.
+// Campaigns, shards and merges write the binary extent encoding
+// (docs/journal-format.md); XML journals come only from `journal convert`.
+// Reads auto-detect the encoding, and resume refuses an XML journal.
 
 #include <cstdio>
 #include <cstdlib>
@@ -151,22 +152,19 @@ int Usage() {
                "  lfi_tool profile <library.self>\n"
                "  lfi_tool analyze <app.self> <library.self> [function]\n"
                "  lfi_tool campaign {git|mysql|bind|pbft|bfs|all} [workers] [--workers W]\n"
-               "                    [--exhaustive] [--journal PATH] [--format xml|extent]\n"
-               "                    [--shards N] [--json]\n"
+               "                    [--exhaustive] [--journal PATH] [--shards N] [--json]\n"
                "  lfi_tool explore {git|mysql|bind|pbft|bfs} [--strategy "
                "exhaustive|random|coverage]\n"
                "                   [--budget N] [--seed S] [--workers W] [--journal PATH]\n"
-               "                   [--format xml|extent] [--shard I/N] [--shards N]\n"
-               "                   [--epoch-len K] [--json]\n"
+               "                   [--shard I/N] [--shards N] [--epoch-len K] [--json]\n"
                "  lfi_tool shard {git|mysql|bind|pbft|bfs} --shards N --journal PATH\n"
                "                 [--strategy exhaustive|random|coverage] [--budget N]\n"
-               "                 [--seed S] [--workers W] [--epoch-len K]\n"
-               "                 [--format xml|extent] [--json]\n"
-               "  lfi_tool merge <out> <in...> [--format xml|extent] [--json]\n"
+               "                 [--seed S] [--workers W] [--epoch-len K] [--json]\n"
+               "  lfi_tool merge <out> <in...> [--json]\n"
                "  lfi_tool resume <journal> [--workers W] [--shards N] [--json]\n"
                "  lfi_tool replay <journal> [record[:injection]] [--json]\n"
                "  lfi_tool journal info <path> [--json]\n"
-               "  lfi_tool journal convert <in> <out> [--format xml|extent]\n"
+               "  lfi_tool journal convert <in> <out> [--json]\n"
                "  lfi_tool journal doctor <path> [--repair] [--json]\n"
                "  lfi_tool run-spec <spec.xml>\n"
                "campaign subcommands also accept supervision options:\n"
@@ -200,10 +198,6 @@ struct ToolOptions {
   // --cold-start: fresh target per job (the warm-pool ablation baseline).
   bool cold_start = false;
   bool json = false;
-  // --format: encoding for journals the command writes. nullopt = the
-  // default (extent for fresh journals; merge/convert derive theirs from
-  // their inputs).
-  std::optional<lfi::JournalFormat> format;
 };
 
 // Parses args[start..] into `out`. Returns false (after printing the
@@ -309,17 +303,6 @@ bool ParseToolOptions(const std::vector<std::string>& args, size_t start, ToolOp
       }
       out->shard_index = static_cast<size_t>(*index);
       out->shard_count = static_cast<size_t>(*count);
-    } else if (args[i] == "--format") {
-      const std::string* v = value("--format");
-      if (v == nullptr) {
-        return false;
-      }
-      auto format = lfi::ParseJournalFormat(*v);
-      if (!format) {
-        std::fprintf(stderr, "unknown journal format '%s' (xml|extent)\n", v->c_str());
-        return false;
-      }
-      out->format = *format;
     } else if (args[i] == "--child-timeout-ms") {
       const std::string* v = value("--child-timeout-ms");
       if (v == nullptr) {
@@ -406,7 +389,6 @@ lfi::CampaignSpec SpecFromOptions(lfi::CampaignMode mode, const std::string& sys
   spec.shard_count = options.shard_count;
   spec.epoch_len = options.epoch_len;
   spec.json = options.json;
-  spec.format = options.format.value_or(lfi::JournalFormat::kExtent);
   spec.abort_after_records = options.abort_after;
   spec.child_timeout_ms = options.child_timeout_ms;
   spec.max_retries = options.max_retries;
@@ -619,7 +601,7 @@ int RunMergeCommand(const std::vector<std::string>& args, size_t start) {
     return Usage();
   }
   std::string error;
-  auto outcome = lfi::MergeCampaignJournals(inputs, args[start], &error, options.format);
+  auto outcome = lfi::MergeCampaignJournals(inputs, args[start], &error);
   if (!outcome) {
     std::fprintf(stderr, "merge failed: %s\n", error.c_str());
     return 1;
@@ -640,7 +622,7 @@ int RunJournalConvertCommand(const std::string& input, const std::string& output
   std::string error;
   size_t records = 0;
   lfi::JournalFormat written = lfi::JournalFormat::kExtent;
-  if (!lfi::ConvertJournal(input, output, options.format, &error, &records, &written)) {
+  if (!lfi::ConvertJournal(input, output, &error, &records, &written)) {
     std::fprintf(stderr, "convert failed: %s\n", error.c_str());
     return 1;
   }
@@ -891,19 +873,22 @@ int RunJournalDoctorCommand(const std::string& path, bool repair, const ToolOpti
   // (the truncation point appends continue from), so bytes past it are a
   // torn tail only when the footer was NOT valid -- any garbage appended
   // after a valid footer invalidates it, forcing the scan path here.
-  bool torn = journal->sealed() ? journal->format() == lfi::JournalFormat::kXml &&
-                                      *size > journal->intact_bytes()
+  bool xml = journal->format() == lfi::JournalFormat::kXml;
+  bool torn = journal->sealed() ? xml && *size > journal->intact_bytes()
                                 : *size > journal->intact_bytes();
   if (torn) {
-    issues.push_back({"torn-tail",
-                      lfi::StrFormat("%llu byte(s) past the last %s boundary",
-                                     static_cast<unsigned long long>(*size) -
-                                         static_cast<unsigned long long>(
-                                             journal->intact_bytes()),
-                                     journal->format() == lfi::JournalFormat::kExtent
-                                         ? "sealed extent"
-                                         : "complete record"),
-                      /*repairable=*/true});
+    // Nothing appends to an XML journal (an older build's live artifact), so
+    // its torn tail is not resealed in place: convert drops it on the way to
+    // an extent copy.
+    unsigned long long torn_bytes = static_cast<unsigned long long>(*size) -
+                                    static_cast<unsigned long long>(journal->intact_bytes());
+    issues.push_back(
+        {"torn-tail",
+         xml ? lfi::StrFormat("%llu byte(s) past the last complete record; `lfi_tool journal "
+                              "convert %s <out.lfij>` drops them",
+                              torn_bytes, path.c_str())
+             : lfi::StrFormat("%llu byte(s) past the last sealed extent", torn_bytes),
+         /*repairable=*/!xml});
   }
   if (!journal->sealed()) {
     issues.push_back({"stale-footer",
@@ -950,7 +935,7 @@ int RunJournalDoctorCommand(const std::string& path, bool repair, const ToolOpti
 
   size_t repaired = 0;
   if (repair && !invariant_violation) {
-    bool needs_reseal = torn || !journal->sealed();
+    bool needs_reseal = !xml && (torn || !journal->sealed());
     if (needs_reseal) {
       // OpenAppend truncates the torn tail (and the old footer); Finalize
       // reseals. The record set is exactly what Load recovered.

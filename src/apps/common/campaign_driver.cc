@@ -210,7 +210,6 @@ CampaignEngine::Options EngineOptions(const CampaignSpec& spec, size_t max_bugs)
   options.max_bugs = max_bugs;
   options.journal_path = spec.journal_path;
   options.resume = spec.resume;
-  options.journal_format = spec.format;
   options.abort_after_records = spec.abort_after_records;
   // An epoch shard child's whole run lies inside one already-scheduled epoch
   // (the frontier snapshot fixed the schedule), so the engine runs it
@@ -358,6 +357,23 @@ void ConfigureAnalysisCacheDir(const std::string& journal_path) {
 #endif
 }
 
+// Loads the journal a resume continues. Campaigns append only to extent
+// journals, so an XML one (an older build's live artifact) is refused here,
+// before any resume path touches the file.
+std::optional<CampaignJournal> LoadResumableJournal(const std::string& path,
+                                                    std::string* error) {
+  auto journal = CampaignJournal::Load(path, error);
+  if (journal && journal->format() != JournalFormat::kExtent) {
+    if (error != nullptr) {
+      *error = "journal " + path +
+               " is XML, which campaigns no longer append to; convert it with `lfi_tool "
+               "journal convert " + path + " <out.lfij>` and resume the extent copy";
+    }
+    return std::nullopt;
+  }
+  return journal;
+}
+
 CampaignOutcome FromExploration(ExplorationResult result, const std::string& journal_path) {
   CampaignOutcome outcome;
   outcome.bugs = std::move(result.bugs);
@@ -470,7 +486,7 @@ std::optional<CampaignOutcome> CampaignDriver::RunLocal(std::string* error) {
 }
 
 std::optional<CampaignOutcome> CampaignDriver::RunResume(std::string* error) {
-  auto journal = CampaignJournal::Load(spec_.journal_path, error);
+  auto journal = LoadResumableJournal(spec_.journal_path, error);
   if (!journal) {
     return std::nullopt;
   }
@@ -487,9 +503,6 @@ std::optional<CampaignOutcome> CampaignDriver::RunResume(std::string* error) {
   if (recorded->shard_index == CampaignSpec::kNoShard) {
     recorded->shard_count = spec_.shard_count;
   }
-  // Resume never re-encodes: the engine keeps appending in whatever format
-  // the file already uses.
-  recorded->format = journal->format();
   recorded->json = spec_.json;
   recorded->abort_after_records = spec_.abort_after_records;
   // Supervision policy is environment, not identity: the resuming run's
@@ -639,9 +652,8 @@ std::optional<CampaignOutcome> CampaignDriver::RunOrchestration(std::string* err
   // its complete epochs through the loop below; a fresh run refuses to
   // clobber an existing artifact.
   std::vector<JournalRecord> loaded;
-  JournalFormat format = spec_.format;
   if (spec_.resume) {
-    auto journal = CampaignJournal::Load(spec_.journal_path, error);
+    auto journal = LoadResumableJournal(spec_.journal_path, error);
     if (!journal) {
       return std::nullopt;
     }
@@ -651,7 +663,6 @@ std::optional<CampaignOutcome> CampaignDriver::RunOrchestration(std::string* err
       return fail(std::move(mismatch));
     }
     loaded = journal->records();
-    format = journal->format();
   } else if (FileExists(spec_.journal_path)) {
     return fail("journal " + spec_.journal_path +
                 " already exists; resume it to continue the campaign, or delete it to "
@@ -673,7 +684,7 @@ std::optional<CampaignOutcome> CampaignDriver::RunOrchestration(std::string* err
   // unchanged reseals extents at the same boundaries, so the rewrite is
   // bit-identical and cleanly discards any torn tail the kill left.
   CampaignJournal merged;
-  if (!merged.Create(spec_.journal_path, spec_.ToJournalMeta(), error, format)) {
+  if (!merged.Create(spec_.journal_path, spec_.ToJournalMeta(), error)) {
     return std::nullopt;
   }
   MergeFoldState fold;
@@ -856,11 +867,10 @@ std::optional<CampaignOutcome> CampaignDriver::RunOrchestration(std::string* err
 
 std::optional<CampaignOutcome> MergeCampaignJournals(const std::vector<std::string>& inputs,
                                                      const std::string& output_path,
-                                                     std::string* error,
-                                                     std::optional<JournalFormat> format) {
+                                                     std::string* error) {
   JournalMetadata metadata;
   std::vector<MergeInputStats> stats;
-  auto merged = MergeJournals(inputs, output_path, error, &metadata, &stats, format);
+  auto merged = MergeJournals(inputs, output_path, error, &metadata, &stats);
   if (!merged) {
     return std::nullopt;
   }

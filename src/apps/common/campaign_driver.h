@@ -114,12 +114,11 @@ class CampaignDriver {
 CampaignEngine::ResultRunner SystemJobRunner(const std::string& system,
                                              bool explore_workload = true);
 
-// Merges journals through MergeJournals and reports the result as a
-// CampaignOutcome (`lfi_tool merge`). `format` picks the output encoding;
-// nullopt keeps the first input's.
-std::optional<CampaignOutcome> MergeCampaignJournals(
-    const std::vector<std::string>& inputs, const std::string& output_path,
-    std::string* error = nullptr, std::optional<JournalFormat> format = std::nullopt);
+// Merges journals through MergeJournals into an extent journal and reports
+// the result as a CampaignOutcome (`lfi_tool merge`).
+std::optional<CampaignOutcome> MergeCampaignJournals(const std::vector<std::string>& inputs,
+                                                     const std::string& output_path,
+                                                     std::string* error = nullptr);
 
 }  // namespace lfi
 

@@ -235,9 +235,6 @@ void CampaignSpec::AppendXml(XmlNode* parent) const {
   if (!failpoints.empty()) {
     node->SetAttr("failpoints", failpoints);
   }
-  if (format != JournalFormat::kExtent) {
-    node->SetAttr("format", JournalFormatName(format));
-  }
   if (!replay_selector.empty()) {
     node->SetAttr("selector", replay_selector);
   }
@@ -294,11 +291,6 @@ std::optional<CampaignSpec> CampaignSpec::FromNode(const XmlNode& node, std::str
   spec.job_timeout_ms = SeedFromString(node.AttrOr("job-timeout-ms", "0"));
   spec.cold_start = node.AttrOr("cold-start", "false") == "true";
   spec.failpoints = node.AttrOr("failpoints", "");
-  auto format = ParseJournalFormat(node.AttrOr("format", "extent"));
-  if (!format) {
-    return fail("unknown journal format '" + node.AttrOr("format", "") + "' (xml|extent)");
-  }
-  spec.format = *format;
   spec.replay_selector = node.AttrOr("selector", "");
   spec.abort_after_records = SizeFromString(node.AttrOr("abort-after", "0"));
   return spec;

@@ -135,11 +135,6 @@ struct CampaignSpec {
   // and inherited by spawned children over the spec wire format. Chaos
   // testing only; stripped from supervisor respawns.
   std::string failpoints = {};
-  // On-disk encoding for journals this campaign creates (fresh runs, shard
-  // artifacts, the merged journal). Reads auto-detect, and resume keeps the
-  // existing file's encoding, so this is an artifact preference -- never
-  // part of the campaign identity (not in ToJournalMeta).
-  JournalFormat format = JournalFormat::kExtent;
   // Replay mode: "record[:injection]" selecting one journaled injection;
   // empty replays every record that injected.
   std::string replay_selector = {};

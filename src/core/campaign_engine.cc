@@ -71,11 +71,8 @@ class JournalHook {
                                "delete it to start fresh");
     }
     // Fresh journal; a resume of a never-created file (killed before the
-    // header was written) degenerates to the same thing. journal_format only
-    // applies here -- the resume path above inherits whatever encoding the
-    // existing file uses.
-    if (!hook->journal_.Create(options.journal_path, options.journal_meta, &error,
-                               options.journal_format)) {
+    // header was written) degenerates to the same thing.
+    if (!hook->journal_.Create(options.journal_path, options.journal_meta, &error)) {
       throw std::runtime_error(error);
     }
     return hook;

@@ -58,20 +58,18 @@ using JournalMetadata = std::vector<std::pair<std::string, std::string>>;
 // resumed orchestrator can reconstruct the schedule.
 inline constexpr size_t kNoEpoch = static_cast<size_t>(-1);
 
-// On-disk encoding of a campaign journal. Both encodings carry the same
-// records and metadata and are freely convertible (`lfi_tool journal
-// convert`); readers auto-detect the encoding from the file's first bytes,
-// so the format is a property of the artifact, never of the campaign
-// identity. kExtent (core/extent_journal.h, docs/journal-format.md) is the
-// default for new journals; kXml is kept as the human-readable debug and
-// interchange encoding.
+// On-disk encoding of a campaign journal. Campaigns write only kExtent
+// (core/extent_journal.h, docs/journal-format.md). kXml carries the same
+// records and metadata as a human-readable artifact that only `lfi_tool
+// journal convert` writes; readers auto-detect the encoding from the file's
+// first bytes, so XML journals written live by older builds still load and
+// convert.
 enum class JournalFormat {
   kExtent,  // binary: CRC-checked, optionally compressed extents + footer index
-  kXml,     // the original append-only XML stream
+  kXml,     // one <record> element per job; read-only for campaigns
 };
 
 const char* JournalFormatName(JournalFormat format);
-std::optional<JournalFormat> ParseJournalFormat(const std::string& name);
 
 // A bug exposed by the campaign, deduplicated by crash site: two injections
 // crashing at the same place in the same system are one bug (Table 1 counts
@@ -160,10 +158,11 @@ class CampaignEngine {
     // schedules the next jobs.
     size_t batch_size = kDefaultBatchSize;
     // Non-empty: persist every merged job -- scenario, injection log,
-    // fingerprint, bugs, coverage delta -- to an append-only campaign
-    // journal at this path (core/journal.h). Records are appended at the
-    // deterministic merge point and flushed one by one, so a killed run
-    // loses at most the record being written.
+    // fingerprint, bugs, coverage delta -- to an extent campaign journal at
+    // this path (core/journal.h). Records are appended at the deterministic
+    // merge point and flushed a sealed extent at a time, so a killed run
+    // loses at most the open extent (up to 16 records), which resume
+    // re-executes.
     std::string journal_path = {};
     // With journal_path set: load the journal first and replay its records
     // instead of executing the corresponding jobs -- the source still
@@ -177,10 +176,6 @@ class CampaignEngine {
     // present on one side only, or a differing value, is an error
     // (CampaignIdentityMismatch, core/journal.h).
     JournalMetadata journal_meta = {};
-    // On-disk encoding for a *fresh* journal. Resume keeps whatever encoding
-    // the existing file uses (auto-detected on load), so this never forks a
-    // journal's format mid-campaign.
-    JournalFormat journal_format = JournalFormat::kExtent;
     // Test hook for the kill-and-resume contract: exit the process (no
     // destructors, mid-campaign) right after this many records have been
     // appended in this run. 0 = off.

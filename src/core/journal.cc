@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <set>
@@ -137,16 +136,6 @@ std::optional<JournalRecord> JournalRecord::FromNode(const XmlNode& node, std::s
 
 const char* JournalFormatName(JournalFormat format) {
   return format == JournalFormat::kXml ? "xml" : "extent";
-}
-
-std::optional<JournalFormat> ParseJournalFormat(const std::string& name) {
-  if (name == "extent") {
-    return JournalFormat::kExtent;
-  }
-  if (name == "xml") {
-    return JournalFormat::kXml;
-  }
-  return std::nullopt;
 }
 
 CampaignJournal::CampaignJournal() = default;
@@ -296,39 +285,20 @@ bool CampaignJournal::Create(const std::string& path, JournalMetadata meta,
 }
 
 bool CampaignJournal::OpenAppend(const std::string& path, std::string* error) {
-  if (format_ == JournalFormat::kExtent) {
-    // The writer truncates the torn tail and any old footer itself; hand it
-    // the sealed-extent state Load() recovered.
-    ExtentJournalData loaded;
-    loaded.extents = extents_;
-    loaded.intact_bytes = intact_bytes_;
-    extent_out_ = std::make_unique<ExtentJournalWriter>();
-    return extent_out_->OpenAppend(path, loaded, error);
-  }
-  // Drop the torn tail a kill may have left: appending after garbage would
-  // leave an unparseable interior. intact_bytes_ came from Load()'s
-  // last-complete-record scan.
-  if (intact_bytes_ != 0) {
-    std::error_code ec;
-    if (std::filesystem::file_size(path, ec) > intact_bytes_ && !ec) {
-      std::filesystem::resize_file(path, intact_bytes_, ec);
-      if (ec) {
-        if (error != nullptr) {
-          *error = "cannot truncate torn journal tail in " + path + ": " + ec.message();
-        }
-        return false;
-      }
-    }
-  }
-  std::FILE* f = std::fopen(path.c_str(), "ab");
-  if (f == nullptr) {
+  if (format_ != JournalFormat::kExtent) {
     if (error != nullptr) {
-      *error = "cannot append to journal " + path;
+      *error = "journal " + path + " is XML; only extent journals can be appended to "
+               "(ConvertJournal it to extent first)";
     }
     return false;
   }
-  out_.reset(f);
-  return true;
+  // The writer truncates the torn tail and any old footer itself; hand it
+  // the sealed-extent state Load() recovered.
+  ExtentJournalData loaded;
+  loaded.extents = extents_;
+  loaded.intact_bytes = intact_bytes_;
+  extent_out_ = std::make_unique<ExtentJournalWriter>();
+  return extent_out_->OpenAppend(path, loaded, error);
 }
 
 bool CampaignJournal::Append(const JournalRecord& record) {
@@ -633,8 +603,7 @@ bool MergeRecordsInto(CampaignJournal& output, const std::vector<CampaignJournal
 std::optional<ExplorationResult> MergeJournals(const std::vector<std::string>& inputs,
                                                const std::string& output_path,
                                                std::string* error, JournalMetadata* metadata,
-                                               std::vector<MergeInputStats>* stats,
-                                               std::optional<JournalFormat> format) {
+                                               std::vector<MergeInputStats>* stats) {
   auto fail = [&](std::string message) -> std::optional<ExplorationResult> {
     if (error != nullptr) {
       *error = std::move(message);
@@ -716,9 +685,8 @@ std::optional<ExplorationResult> MergeJournals(const std::vector<std::string>& i
   // later resume would look for a complete one -- the final path either
   // does not exist or holds the fully finalized merge.
   CampaignJournal merged;
-  JournalFormat out_format = format.value_or(journals.front().format());
   std::string tmp_path = output_path + ".tmp";
-  if (!merged.Create(tmp_path, out_meta, error, out_format)) {
+  if (!merged.Create(tmp_path, out_meta, error)) {
     return std::nullopt;
   }
   MergeFoldState fold;
@@ -744,8 +712,7 @@ std::optional<ExplorationResult> MergeJournals(const std::vector<std::string>& i
 // --- ConvertJournal ---------------------------------------------------------
 
 bool ConvertJournal(const std::string& input_path, const std::string& output_path,
-                    std::optional<JournalFormat> format, std::string* error,
-                    size_t* records, JournalFormat* written) {
+                    std::string* error, size_t* records, JournalFormat* written) {
   auto fail = [&](std::string message) {
     if (error != nullptr) {
       *error = std::move(message);
@@ -761,8 +728,8 @@ bool ConvertJournal(const std::string& input_path, const std::string& output_pat
   if (!journal) {
     return false;
   }
-  JournalFormat out_format = format.value_or(
-      journal->format() == JournalFormat::kXml ? JournalFormat::kExtent : JournalFormat::kXml);
+  JournalFormat out_format =
+      journal->format() == JournalFormat::kXml ? JournalFormat::kExtent : JournalFormat::kXml;
   // Same tmp+rename discipline as MergeJournals: the converted artifact
   // appears at output_path only complete and finalized.
   std::string tmp_path = output_path + ".tmp";

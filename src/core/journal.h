@@ -3,10 +3,10 @@
 // LFI's workflow (§2, §4.1) is built on durable artifacts -- XML fault
 // profiles, XML scenarios, and a test log developers mine after the run.
 // The CampaignJournal extends that to the whole campaign lifecycle: an
-// append-only XML file that records, for every job the engine merged, the
-// scenario that ran (Scenario::ToXml), the injection log and fingerprint,
-// the bugs it exposed, the coverage delta it contributed, and the feedback
-// the scenario source was given. Three workflows fall out of one format:
+// append-only binary extent file that records, for every job the engine
+// merged, the scenario that ran, the injection log and fingerprint, the
+// bugs it exposed, the coverage delta it contributed, and the feedback the
+// scenario source was given. Three workflows fall out of one format:
 //
 //   resume   CampaignEngine::Options{journal_path, resume=true} replays the
 //            journal through the engine's deterministic merge -- the source
@@ -23,23 +23,20 @@
 //            ScenarioSource, optionally dealing them round-robin across
 //            shards, so one campaign's journal can seed or split another.
 //
-// Two on-disk encodings carry the same records (JournalFormat,
-// auto-detected from the file's first bytes; `lfi_tool journal convert`
-// round-trips them losslessly):
+// Campaigns write one encoding, kExtent: a binary stream of CRC-checked,
+// optionally compressed extents of up to 16 records each, closed by a
+// footer index (core/extent_journal.h; byte-level spec in
+// docs/journal-format.md). Extents are flushed whole, so a kill loses at
+// most the extent being filled -- up to 16 records, which resume simply
+// re-executes -- and recovery truncates to the last valid extent boundary.
 //
-//   kExtent  the default for new journals: a binary stream of CRC-checked,
-//            optionally compressed extents of up to 16 records each, closed
-//            by a footer index (core/extent_journal.h; byte-level spec in
-//            docs/journal-format.md). Extents are flushed whole, so a kill
-//            loses at most the extent being filled -- up to 16 records,
-//            which resume simply re-executes -- and recovery truncates to
-//            the last valid extent boundary.
-//   kXml     the debug/interchange encoding: a <journal version="1"> header
-//            element carrying campaign metadata (<meta key value/>),
-//            followed by one <record> element per merged job, appended and
-//            flushed one at a time. A kill loses at most the record being
-//            written; Load() drops a torn trailing record by truncating at
-//            the last complete one.
+// kXml is the human-readable form of the same records: a <journal
+// version="1"> header element carrying campaign metadata (<meta key
+// value/>), followed by one <record> element per merged job. Only
+// ConvertJournal (`lfi_tool journal convert`) writes it, and campaigns never
+// append to it. Load() still reads it -- auto-detected from the first bytes
+// -- including XML journals older builds wrote live, whose torn trailing
+// record it drops by truncating at the last complete one.
 
 #ifndef LFI_CORE_JOURNAL_H_
 #define LFI_CORE_JOURNAL_H_
@@ -166,21 +163,23 @@ class CampaignJournal {
   // --- writing --------------------------------------------------------------
 
   // Creates (truncating) `path` and writes the header in the requested
-  // encoding. The journal is then writable via Append().
+  // encoding. The journal is then writable via Append(). Campaigns create
+  // extent journals; kXml is ConvertJournal's output encoding.
   bool Create(const std::string& path, JournalMetadata meta, std::string* error = nullptr,
               JournalFormat format = JournalFormat::kExtent);
 
-  // Reopens a loaded journal's file for appending (resume), in whatever
-  // encoding the file already uses: loaded records stay readable as the
-  // replay prefix, new records land after them. The torn tail a kill left
-  // -- and, for extent journals, the old footer -- is truncated away first,
-  // so the file stays parseable after the resumed run appends past it.
+  // Reopens a loaded extent journal's file for appending (resume): loaded
+  // records stay readable as the replay prefix, new records land after
+  // them. The torn tail a kill left and the old footer are truncated away
+  // first, so the file stays parseable after the resumed run appends past
+  // it. Refuses an XML journal without touching the file: campaigns append
+  // only to extent journals (convert it with ConvertJournal first).
   bool OpenAppend(const std::string& path, std::string* error = nullptr);
 
-  // Serializes and appends one record. XML journals flush per record; the
-  // extent encoding buffers and flushes per sealed extent (every
-  // ExtentJournalWriter::kRecordsPerExtent records), so a kill loses at
-  // most the open extent. Requires Create()/OpenAppend().
+  // Serializes and appends one record. The extent encoding buffers and
+  // flushes per sealed extent (every ExtentJournalWriter::kRecordsPerExtent
+  // records), so a kill loses at most the open extent; an XML journal being
+  // converted flushes per record. Requires Create()/OpenAppend().
   bool Append(const JournalRecord& record);
 
   // Completes a writable journal: seals the open extent, writes the footer
@@ -204,7 +203,7 @@ class CampaignJournal {
   struct FileCloser {
     void operator()(std::FILE* f) const { std::fclose(f); }
   };
-  std::unique_ptr<std::FILE, FileCloser> out_;          // XML append stream
+  std::unique_ptr<std::FILE, FileCloser> out_;          // XML write stream (convert)
   std::unique_ptr<ExtentJournalWriter> extent_out_;     // extent append stream
 };
 
@@ -337,25 +336,22 @@ bool MergeRecordsInto(CampaignJournal& output, const std::vector<CampaignJournal
 // run writes, and therefore resumable. Refuses to overwrite an existing
 // output file. Returns the merged campaign result (bugs, cumulative
 // coverage, scenarios run); `metadata`/`stats` receive the output header and
-// per-input accounting when non-null. `format` picks the output encoding;
-// nullopt writes whatever encoding the first input uses (inputs of mixed
-// encodings merge fine -- the format is not part of the campaign identity).
+// per-input accounting when non-null. The output is an extent journal;
+// inputs may be of either encoding.
 std::optional<ExplorationResult> MergeJournals(
     const std::vector<std::string>& inputs, const std::string& output_path,
     std::string* error = nullptr, JournalMetadata* metadata = nullptr,
-    std::vector<MergeInputStats>* stats = nullptr,
-    std::optional<JournalFormat> format = std::nullopt);
+    std::vector<MergeInputStats>* stats = nullptr);
 
 // --- converting -------------------------------------------------------------
 
-// Rewrites a journal in another encoding, preserving header metadata and
-// every record exactly -- converting back yields a byte-identical file (for
-// finalized inputs; recovery of a torn input drops its tail first, exactly
-// as Load does). `format` defaults to the opposite of the input's encoding.
-// Refuses to overwrite an existing output. On success fills `records` and
-// `written` (the record count and output encoding) when non-null.
+// Rewrites a journal in the other encoding (extent -> XML, XML -> extent),
+// preserving header metadata and every record exactly -- converting back
+// yields a byte-identical file (for finalized inputs; recovery of a torn
+// input drops its tail first, exactly as Load does). Refuses to overwrite
+// an existing output. On success fills `records` and `written` (the record
+// count and output encoding) when non-null.
 bool ConvertJournal(const std::string& input_path, const std::string& output_path,
-                    std::optional<JournalFormat> format = std::nullopt,
                     std::string* error = nullptr, size_t* records = nullptr,
                     JournalFormat* written = nullptr);
 

@@ -1,65 +1,63 @@
 #include "util/errno_codes.h"
 
 #include <utility>
-#include <vector>
 
 #include "util/string_util.h"
 
 namespace lfi {
 namespace {
 
-const std::vector<std::pair<int, const char*>>& Table() {
-  static const std::vector<std::pair<int, const char*>> kTable = {
-      {kEOK, "EOK"},
-      {kEPERM, "EPERM"},
-      {kENOENT, "ENOENT"},
-      {kESRCH, "ESRCH"},
-      {kEINTR, "EINTR"},
-      {kEIO, "EIO"},
-      {kENXIO, "ENXIO"},
-      {kEBADF, "EBADF"},
-      {kEAGAIN, "EAGAIN"},
-      {kENOMEM, "ENOMEM"},
-      {kEACCES, "EACCES"},
-      {kEFAULT, "EFAULT"},
-      {kEBUSY, "EBUSY"},
-      {kEEXIST, "EEXIST"},
-      {kEXDEV, "EXDEV"},
-      {kENODEV, "ENODEV"},
-      {kENOTDIR, "ENOTDIR"},
-      {kEISDIR, "EISDIR"},
-      {kEINVAL, "EINVAL"},
-      {kENFILE, "ENFILE"},
-      {kEMFILE, "EMFILE"},
-      {kENOTTY, "ENOTTY"},
-      {kEFBIG, "EFBIG"},
-      {kENOSPC, "ENOSPC"},
-      {kESPIPE, "ESPIPE"},
-      {kEROFS, "EROFS"},
-      {kEMLINK, "EMLINK"},
-      {kEPIPE, "EPIPE"},
-      {kEDOM, "EDOM"},
-      {kERANGE, "ERANGE"},
-      {kEDEADLK, "EDEADLK"},
-      {kENAMETOOLONG, "ENAMETOOLONG"},
-      {kENOSYS, "ENOSYS"},
-      {kENOTEMPTY, "ENOTEMPTY"},
-      {kELOOP, "ELOOP"},
-      {kEMSGSIZE, "EMSGSIZE"},
-      {kECONNRESET, "ECONNRESET"},
-      {kENOBUFS, "ENOBUFS"},
-      {kENOTCONN, "ENOTCONN"},
-      {kETIMEDOUT, "ETIMEDOUT"},
-      {kECONNREFUSED, "ECONNREFUSED"},
-      {kEHOSTUNREACH, "EHOSTUNREACH"},
-  };
-  return kTable;
-}
+// Constant-initialized with no destructor: a thread still running at exit
+// (an abandoned hung job) may format an errno after static destructors ran.
+constexpr std::pair<int, const char*> kTable[] = {
+    {kEOK, "EOK"},
+    {kEPERM, "EPERM"},
+    {kENOENT, "ENOENT"},
+    {kESRCH, "ESRCH"},
+    {kEINTR, "EINTR"},
+    {kEIO, "EIO"},
+    {kENXIO, "ENXIO"},
+    {kEBADF, "EBADF"},
+    {kEAGAIN, "EAGAIN"},
+    {kENOMEM, "ENOMEM"},
+    {kEACCES, "EACCES"},
+    {kEFAULT, "EFAULT"},
+    {kEBUSY, "EBUSY"},
+    {kEEXIST, "EEXIST"},
+    {kEXDEV, "EXDEV"},
+    {kENODEV, "ENODEV"},
+    {kENOTDIR, "ENOTDIR"},
+    {kEISDIR, "EISDIR"},
+    {kEINVAL, "EINVAL"},
+    {kENFILE, "ENFILE"},
+    {kEMFILE, "EMFILE"},
+    {kENOTTY, "ENOTTY"},
+    {kEFBIG, "EFBIG"},
+    {kENOSPC, "ENOSPC"},
+    {kESPIPE, "ESPIPE"},
+    {kEROFS, "EROFS"},
+    {kEMLINK, "EMLINK"},
+    {kEPIPE, "EPIPE"},
+    {kEDOM, "EDOM"},
+    {kERANGE, "ERANGE"},
+    {kEDEADLK, "EDEADLK"},
+    {kENAMETOOLONG, "ENAMETOOLONG"},
+    {kENOSYS, "ENOSYS"},
+    {kENOTEMPTY, "ENOTEMPTY"},
+    {kELOOP, "ELOOP"},
+    {kEMSGSIZE, "EMSGSIZE"},
+    {kECONNRESET, "ECONNRESET"},
+    {kENOBUFS, "ENOBUFS"},
+    {kENOTCONN, "ENOTCONN"},
+    {kETIMEDOUT, "ETIMEDOUT"},
+    {kECONNREFUSED, "ECONNREFUSED"},
+    {kEHOSTUNREACH, "EHOSTUNREACH"},
+};
 
 }  // namespace
 
 std::string ErrnoName(int value) {
-  for (const auto& [v, name] : Table()) {
+  for (const auto& [v, name] : kTable) {
     if (v == value) {
       return name;
     }
@@ -68,7 +66,7 @@ std::string ErrnoName(int value) {
 }
 
 std::optional<int> ErrnoFromName(std::string_view name) {
-  for (const auto& [v, n] : Table()) {
+  for (const auto& [v, n] : kTable) {
     if (name == n) {
       return v;
     }

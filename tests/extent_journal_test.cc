@@ -174,7 +174,7 @@ void WriteJournal(const std::string& path, const JournalMetadata& meta,
 // --- conversion round trips -------------------------------------------------
 
 // The bit-equivalence contract: extent -> xml -> extent reproduces the exact
-// input bytes, the xml leg byte-matches a live XML-mode write of the same
+// input bytes, the xml leg byte-matches a direct XML write of the same
 // records, and every field survives. Record counts straddle the 16-record
 // extent boundary (0, 1, partial, exact, multi-extent).
 TEST(ExtentJournal, ConvertRoundTripsByteIdentically) {
@@ -198,20 +198,19 @@ TEST(ExtentJournal, ConvertRoundTripsByteIdentically) {
     WriteJournal(extent_path, meta, records, JournalFormat::kExtent);
     ASSERT_TRUE(IsExtentJournal(ReadFile(extent_path)));
 
-    // extent -> xml: defaults to the opposite encoding, and matches what a
-    // live XML-mode run of the same records would have written.
+    // extent -> xml: writes the other encoding, byte-identical to an XML
+    // write of the same records.
     std::string error;
     size_t converted = 0;
     JournalFormat written = JournalFormat::kExtent;
-    ASSERT_TRUE(ConvertJournal(extent_path, xml_path, std::nullopt, &error, &converted,
-                               &written)) << error;
+    ASSERT_TRUE(ConvertJournal(extent_path, xml_path, &error, &converted, &written)) << error;
     EXPECT_EQ(converted, count);
     EXPECT_EQ(written, JournalFormat::kXml);
     WriteJournal(live_xml_path, meta, records, JournalFormat::kXml);
     EXPECT_EQ(ReadFile(xml_path), ReadFile(live_xml_path));
 
     // xml -> extent: bit-identical to the original.
-    ASSERT_TRUE(ConvertJournal(xml_path, back_path, std::nullopt, &error)) << error;
+    ASSERT_TRUE(ConvertJournal(xml_path, back_path, &error)) << error;
     EXPECT_EQ(ReadFile(back_path), ReadFile(extent_path));
 
     // And both encodings load back to the same records and header.
@@ -235,7 +234,7 @@ TEST(ExtentJournal, ConvertRefusesToOverwrite) {
   WriteJournal(path, {{"command", "explore"}}, {RandomRecord(rng, 0)},
                JournalFormat::kExtent);
   std::string error;
-  EXPECT_FALSE(ConvertJournal(path, path, std::nullopt, &error));
+  EXPECT_FALSE(ConvertJournal(path, path, &error));
   EXPECT_FALSE(error.empty());
 }
 

@@ -363,8 +363,9 @@ TEST(CampaignJournal, TornTrailingRecordIsDropped) {
   Rng rng(6);
   std::string path = TempPath("journal_torn.xml");
   CampaignJournal journal;
-  // Torn-XML surgery below: this test is about the XML torn-tail scan, so
-  // pin the debug encoding (extent recovery is covered in extent_journal_test).
+  // Torn-XML surgery below: this test is about the XML torn-tail scan that
+  // still reads older builds' live XML journals, so write XML (extent
+  // recovery is covered in extent_journal_test).
   ASSERT_TRUE(journal.Create(path, {{"command", "explore"}, {"system", "git"}}, nullptr,
                              JournalFormat::kXml));
   ASSERT_TRUE(journal.Append(MakeRecord(rng, "complete-1")));
@@ -657,6 +658,63 @@ TEST(MergeJournals, SingleInputMergeReproducesTheJournal) {
   Drive(resume);
   EXPECT_EQ(ReadFile(resumed), ReadFile(coverage));
   expect_merge_identity(resumed);
+}
+
+// Campaigns append only to extent journals. An XML kill artifact (what
+// older builds wrote live; here converted from a real explore journal's
+// first sealed extent) is refused by resume -- single-process, sharded, and
+// a spec that sets `resume` itself -- with the convert hint and its bytes
+// untouched. Converted back to extent, it resumes to the uninterrupted
+// journal byte for byte.
+TEST(CampaignJournal, ResumeRefusesXmlAndResumesItsExtentConversion) {
+  EnsureStockTriggersRegistered();
+  std::string full_path = TempPath("xml_resume_full.lfij");
+  std::string prefix_path = TempPath("xml_resume_prefix.lfij");
+  std::string xml_path = TempPath("xml_resume_prefix.xml");
+  std::string back_path = TempPath("xml_resume_back.lfij");
+  for (const std::string& path : {full_path, prefix_path, xml_path, back_path}) {
+    std::remove(path.c_str());
+  }
+  // Random sweeps shard open-loop, so every resume below is runnable and
+  // only the encoding check stands between it and the XML file.
+  CampaignSpec spec = PbftCoverageSpec(24, full_path);
+  spec.strategy = ExploreStrategy::kRandom;
+  Drive(spec);
+  std::string error;
+  auto full = CampaignJournal::Load(full_path, &error);
+  ASSERT_TRUE(full.has_value()) << error;
+  ASSERT_GT(full->records().size(), 16u);
+  {
+    CampaignJournal prefix;
+    ASSERT_TRUE(prefix.Create(prefix_path, full->metadata(), &error)) << error;
+    for (size_t i = 0; i < 16; ++i) {
+      ASSERT_TRUE(prefix.Append(full->records()[i]));
+    }
+    ASSERT_TRUE(prefix.Finalize(&error)) << error;
+  }
+  JournalFormat written = JournalFormat::kExtent;
+  ASSERT_TRUE(ConvertJournal(prefix_path, xml_path, &error, nullptr, &written)) << error;
+  ASSERT_EQ(written, JournalFormat::kXml);
+
+  const std::string xml_bytes = ReadFile(xml_path);
+  CampaignSpec resume_mode = {.mode = CampaignMode::kResume, .journal_path = xml_path};
+  CampaignSpec resume_sharded = resume_mode;
+  resume_sharded.shard_count = 4;
+  CampaignSpec resume_flag = spec;
+  resume_flag.journal_path = xml_path;
+  resume_flag.resume = true;
+  resume_flag.shard_count = 4;
+  for (const CampaignSpec& resume : {resume_mode, resume_sharded, resume_flag}) {
+    SCOPED_TRACE(resume.ToXml());
+    EXPECT_FALSE(CampaignDriver(resume).Run(&error).has_value());
+    EXPECT_NE(error.find("lfi_tool journal convert"), std::string::npos) << error;
+    EXPECT_EQ(ReadFile(xml_path), xml_bytes);
+  }
+
+  ASSERT_TRUE(ConvertJournal(xml_path, back_path, &error)) << error;
+  EXPECT_EQ(ReadFile(back_path), ReadFile(prefix_path));
+  ASSERT_TRUE(Resume(back_path, /*workers=*/2, &error).has_value()) << error;
+  EXPECT_EQ(ReadFile(back_path), ReadFile(full_path));
 }
 
 // --- disk-only replay -------------------------------------------------------
