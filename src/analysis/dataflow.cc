@@ -69,8 +69,12 @@ DataflowResult AnalyzeReturnValueFlow(const PartialCfg& cfg) {
   std::set<size_t> visited;
   in[cfg.entry()].insert(Reg(kRetReg));
 
+  // A node waits in the worklist at most once: it reads its IN set when
+  // popped, so a second copy would only redo the same transfer.
   std::deque<size_t> worklist;
+  std::set<size_t> queued;
   worklist.push_back(cfg.entry());
+  queued.insert(cfg.entry());
 
   auto record_compare = [&](const CfgNode& node, int64_t literal) {
     Transfer t{&node, &cfg};
@@ -108,6 +112,7 @@ DataflowResult AnalyzeReturnValueFlow(const PartialCfg& cfg) {
     }
     size_t off = worklist.front();
     worklist.pop_front();
+    queued.erase(off);
     const CfgNode* node = cfg.node(off);
     if (node == nullptr) {
       continue;
@@ -200,7 +205,7 @@ DataflowResult AnalyzeReturnValueFlow(const PartialCfg& cfg) {
       LocationSet& succ_in = in[succ];
       size_t before = succ_in.size();
       succ_in.insert(set.begin(), set.end());
-      if (visited.count(succ) == 0 || succ_in.size() > before) {
+      if ((visited.count(succ) == 0 || succ_in.size() > before) && queued.insert(succ).second) {
         worklist.push_back(succ);
       }
     }

@@ -12,8 +12,6 @@
 namespace lfi {
 namespace {
 
-uint32_t Site(const char* name) { return BfsBinary().SiteOffset(name); }
-
 // Lease-key derivation: server and client independently stretch the client's
 // port identity into a shared request token by iterated hashing. Like pbft's
 // session keys, this is deliberately expensive so bring-up dominates a single
@@ -360,12 +358,14 @@ BfsServer::BfsServer(VirtualFs* fs, VirtualNet* net, const BfsConfig& config)
 bool BfsServer::Start() {
   {
     ScopedFrame frame(&libc_.stack(), kModule, "server_init");
-    frame.set_offset(Site("bfs.server.socket"));
+    static const uint32_t kSiteBfsServerSocket = BfsBinary().SiteOffset("bfs.server.socket");
+    frame.set_offset(kSiteBfsServerSocket);
     fd_ = libc_.Socket();
     if (fd_ < 0) {
       return false;
     }
-    frame.set_offset(Site("bfs.server.bind"));
+    static const uint32_t kSiteBfsServerBind = BfsBinary().SiteOffset("bfs.server.bind");
+    frame.set_offset(kSiteBfsServerBind);
     if (libc_.BindSocket(fd_, kBfsServerPort) == -1) {
       return false;
     }
@@ -394,7 +394,8 @@ void BfsServer::Step() {
     for (int budget = 0; budget < 256; ++budget) {
       char buf[2048];
       int src_port = -1;
-      frame.set_offset(Site("bfs.server.recvfrom"));
+      static const uint32_t kSiteBfsServerRecvfrom = BfsBinary().SiteOffset("bfs.server.recvfrom");
+      frame.set_offset(kSiteBfsServerRecvfrom);
       long n = libc_.RecvFrom(fd_, buf, sizeof(buf), &src_port);
       if (n < 0) {
         if (libc_.verrno() == kEAGAIN) {
@@ -426,7 +427,8 @@ bool BfsServer::SendFrame(int dst_port, const std::string& payload) {
   size_t off = 0;
   int failures = 0;
   while (off < wire.size()) {
-    frame.set_offset(Site("bfs.server.sendto"));
+    static const uint32_t kSiteBfsServerSendto = BfsBinary().SiteOffset("bfs.server.sendto");
+    frame.set_offset(kSiteBfsServerSendto);
     long n = libc_.SendTo(fd_, wire.data() + off, wire.size() - off, dst_port);
     if (n < 0) {
       coverage_.Hit("bfs.send.err_retry");
@@ -640,14 +642,16 @@ std::string BfsServer::OpUnlink(int64_t seq, const std::string& name) {
   {
     ScopedFrame frame(&libc_.stack(), kModule, "remove_file");
     for (size_t blk = 0; blk < nblocks; ++blk) {
-      frame.set_offset(Site("bfs.unlink.blocks"));
+      static const uint32_t kSiteBfsUnlinkBlocks = BfsBinary().SiteOffset("bfs.unlink.blocks");
+      frame.set_offset(kSiteBfsUnlinkBlocks);
       if (libc_.Unlink(BlockPath(ino, blk)) != 0) {
         // Orphaned data block: harmless (nothing references it), collected
         // by the next format.
         coverage_.Hit("bfs.unlink.orphan");
       }
     }
-    frame.set_offset(Site("bfs.unlink.unlink"));
+    static const uint32_t kSiteBfsUnlinkUnlink = BfsBinary().SiteOffset("bfs.unlink.unlink");
+    frame.set_offset(kSiteBfsUnlinkUnlink);
     inode_gone = libc_.Unlink(InodePath(ino)) == 0;
   }
   nd.used = false;
@@ -680,15 +684,18 @@ std::string BfsServer::OpClose(int64_t seq, int handle) {
 bool BfsServer::WriteBlock(size_t ino, size_t blk, const std::string& data) {
   for (int attempt = 0; attempt < 2; ++attempt) {
     ScopedFrame frame(&libc_.stack(), kModule, "write_block");
-    frame.set_offset(Site("bfs.block.fopen"));
+    static const uint32_t kSiteBfsBlockFopen = BfsBinary().SiteOffset("bfs.block.fopen");
+    frame.set_offset(kSiteBfsBlockFopen);
     VFile* f = libc_.FOpen(BlockPath(ino, blk), "w");
     if (f == nullptr) {
       coverage_.Hit("bfs.block.err_open");
       continue;
     }
-    frame.set_offset(Site("bfs.block.fwrite"));
+    static const uint32_t kSiteBfsBlockFwrite = BfsBinary().SiteOffset("bfs.block.fwrite");
+    frame.set_offset(kSiteBfsBlockFwrite);
     unsigned long wrote = libc_.FWrite(data.data(), data.size(), f);
-    frame.set_offset(Site("bfs.block.fclose"));
+    static const uint32_t kSiteBfsBlockFclose = BfsBinary().SiteOffset("bfs.block.fclose");
+    frame.set_offset(kSiteBfsBlockFclose);
     libc_.FClose(f);
     if (wrote == data.size()) {
       if (attempt > 0) {
@@ -706,16 +713,19 @@ bool BfsServer::WriteBlock(size_t ino, size_t blk, const std::string& data) {
 std::optional<std::string> BfsServer::ReadBlock(size_t ino, size_t blk, size_t want) {
   for (int attempt = 0; attempt < 2; ++attempt) {
     ScopedFrame frame(&libc_.stack(), kModule, "read_block");
-    frame.set_offset(Site("bfs.read.fopen"));
+    static const uint32_t kSiteBfsReadFopen = BfsBinary().SiteOffset("bfs.read.fopen");
+    frame.set_offset(kSiteBfsReadFopen);
     VFile* f = libc_.FOpen(BlockPath(ino, blk), "r");
     if (f == nullptr) {
       coverage_.Hit("bfs.read.err_open");
       continue;
     }
     char buf[kBfsBlockSize];
-    frame.set_offset(Site("bfs.read.fread"));
+    static const uint32_t kSiteBfsReadFread = BfsBinary().SiteOffset("bfs.read.fread");
+    frame.set_offset(kSiteBfsReadFread);
     unsigned long n = libc_.FRead(buf, want, f);
-    frame.set_offset(Site("bfs.read.fclose"));
+    static const uint32_t kSiteBfsReadFclose = BfsBinary().SiteOffset("bfs.read.fclose");
+    frame.set_offset(kSiteBfsReadFclose);
     libc_.FClose(f);
     if (n == want) {
       if (attempt > 0) {
@@ -735,15 +745,18 @@ bool BfsServer::WriteInode(size_t ino) {
               : StrFormat("!free|0|%u", Crc32(""));
   std::string record = payload + StrFormat("|%u", Crc32(payload));
   ScopedFrame frame(&libc_.stack(), kModule, "write_inode");
-  frame.set_offset(Site("bfs.inode.fopen"));
+  static const uint32_t kSiteBfsInodeFopen = BfsBinary().SiteOffset("bfs.inode.fopen");
+  frame.set_offset(kSiteBfsInodeFopen);
   VFile* f = libc_.FOpen(InodePath(ino), "w");
   if (f == nullptr) {
     coverage_.Hit("bfs.inode.err_open");
     return false;
   }
-  frame.set_offset(Site("bfs.inode.fwrite"));
+  static const uint32_t kSiteBfsInodeFwrite = BfsBinary().SiteOffset("bfs.inode.fwrite");
+  frame.set_offset(kSiteBfsInodeFwrite);
   unsigned long wrote = libc_.FWrite(record.data(), record.size(), f);
-  frame.set_offset(Site("bfs.inode.fclose"));
+  static const uint32_t kSiteBfsInodeFclose = BfsBinary().SiteOffset("bfs.inode.fclose");
+  frame.set_offset(kSiteBfsInodeFclose);
   libc_.FClose(f);
   if (wrote != record.size()) {
     coverage_.Hit("bfs.inode.err_short");
@@ -767,15 +780,18 @@ void BfsServer::SyncMeta() {
   }
   ++generation_;
   std::string record = SuperRecord();
-  frame.set_offset(Site("bfs.meta.fopen"));
+  static const uint32_t kSiteBfsMetaFopen = BfsBinary().SiteOffset("bfs.meta.fopen");
+  frame.set_offset(kSiteBfsMetaFopen);
   VFile* f = libc_.FOpen("/bfs/super", "w");
   if (f == nullptr) {
     coverage_.Hit("bfs.sync.err_open");
     return;
   }
-  frame.set_offset(Site("bfs.meta.fwrite"));
+  static const uint32_t kSiteBfsMetaFwrite = BfsBinary().SiteOffset("bfs.meta.fwrite");
+  frame.set_offset(kSiteBfsMetaFwrite);
   unsigned long wrote = libc_.FWrite(record.data(), record.size(), f);
-  frame.set_offset(Site("bfs.meta.fclose"));
+  static const uint32_t kSiteBfsMetaFclose = BfsBinary().SiteOffset("bfs.meta.fclose");
+  frame.set_offset(kSiteBfsMetaFclose);
   libc_.FClose(f);
   if (wrote != record.size()) {
     coverage_.Hit("bfs.sync.err_short");
@@ -787,13 +803,16 @@ void BfsServer::FlushSuper() {
   coverage_.Hit("bfs.fsync.body");
   ++generation_;
   std::string record = SuperRecord();
-  frame.set_offset(Site("bfs.super.fopen"));
+  static const uint32_t kSiteBfsSuperFopen = BfsBinary().SiteOffset("bfs.super.fopen");
+  frame.set_offset(kSiteBfsSuperFopen);
   // BUG (Table 1): the durability barrier never checks fopen -- an injected
   // failure hands FWrite a NULL stream and the server segfaults mid-FSYNC.
   VFile* f = libc_.FOpen("/bfs/super", "w");
-  frame.set_offset(Site("bfs.super.fwrite"));
+  static const uint32_t kSiteBfsSuperFwrite = BfsBinary().SiteOffset("bfs.super.fwrite");
+  frame.set_offset(kSiteBfsSuperFwrite);
   libc_.FWrite(record.data(), record.size(), f);
-  frame.set_offset(Site("bfs.super.fclose"));
+  static const uint32_t kSiteBfsSuperFclose = BfsBinary().SiteOffset("bfs.super.fclose");
+  frame.set_offset(kSiteBfsSuperFclose);
   libc_.FClose(f);
 }
 

@@ -1,5 +1,6 @@
 #include "apps/bind/bind.h"
 
+#include <array>
 #include <cstring>
 
 #include "util/errno_codes.h"
@@ -7,11 +8,6 @@
 #include "vlib/sim_crash.h"
 
 namespace lfi {
-namespace {
-
-uint32_t Site(const char* name) { return BindBinary().SiteOffset(name); }
-
-}  // namespace
 
 const AppBinary& BindBinary() {
   static const AppBinary* binary = [] {
@@ -103,7 +99,8 @@ void MiniBind::RegisterCoverageBlocks() {
 bool MiniBind::LoadZone(const std::string& path) {
   ScopedFrame frame(&libc_.stack(), kModule, "load_zone");
   coverage_.Hit("bind.zone.body");
-  frame.set_offset(Site("bind.zone.open"));
+  static const uint32_t kSiteBindZoneOpen = BindBinary().SiteOffset("bind.zone.open");
+  frame.set_offset(kSiteBindZoneOpen);
   int fd = libc_.Open(path, kORdOnly);
   if (fd < 0) {
     coverage_.Hit("bind.zone.err_open");
@@ -112,7 +109,8 @@ bool MiniBind::LoadZone(const std::string& path) {
   std::string data;
   char buf[512];
   while (true) {
-    frame.set_offset(Site("bind.zone.read"));
+    static const uint32_t kSiteBindZoneRead = BindBinary().SiteOffset("bind.zone.read");
+    frame.set_offset(kSiteBindZoneRead);
     long n = libc_.Read(fd, buf, sizeof buf);
     if (n < 0) {
       if (libc_.verrno() == kEINTR) {
@@ -127,7 +125,8 @@ bool MiniBind::LoadZone(const std::string& path) {
     }
     data.append(buf, static_cast<size_t>(n));
   }
-  frame.set_offset(Site("bind.zone.close"));
+  static const uint32_t kSiteBindZoneClose = BindBinary().SiteOffset("bind.zone.close");
+  frame.set_offset(kSiteBindZoneClose);
   if (libc_.Close(fd) == -1) {
     coverage_.Hit("bind.zone.err_close");
     return false;
@@ -144,13 +143,15 @@ bool MiniBind::LoadZone(const std::string& path) {
 bool MiniBind::StartServer(int port) {
   ScopedFrame frame(&libc_.stack(), kModule, "start_server");
   coverage_.Hit("bind.server.body");
-  frame.set_offset(Site("bind.server.socket"));
+  static const uint32_t kSiteBindServerSocket = BindBinary().SiteOffset("bind.server.socket");
+  frame.set_offset(kSiteBindServerSocket);
   server_fd_ = libc_.Socket();
   if (server_fd_ < 0) {
     coverage_.Hit("bind.server.err_socket");
     return false;
   }
-  frame.set_offset(Site("bind.server.bind"));
+  static const uint32_t kSiteBindServerBind = BindBinary().SiteOffset("bind.server.bind");
+  frame.set_offset(kSiteBindServerBind);
   if (libc_.BindSocket(server_fd_, port) == -1) {
     coverage_.Hit("bind.server.err_bind");
     return false;
@@ -178,7 +179,8 @@ int MiniBind::PumpQueries() {
   while (true) {
     char buf[512];
     int src_port = -1;
-    frame.set_offset(Site("bind.server.recvfrom"));
+    static const uint32_t kSiteBindServerRecvfrom = BindBinary().SiteOffset("bind.server.recvfrom");
+    frame.set_offset(kSiteBindServerRecvfrom);
     long n = libc_.RecvFrom(server_fd_, buf, sizeof buf, &src_port);
     if (n < 0) {
       if (libc_.verrno() == kEAGAIN) {
@@ -197,7 +199,8 @@ int MiniBind::PumpQueries() {
     } else {
       reply = "FORMERR";
     }
-    frame.set_offset(Site("bind.server.sendto"));
+    static const uint32_t kSiteBindServerSendto = BindBinary().SiteOffset("bind.server.sendto");
+    frame.set_offset(kSiteBindServerSendto);
     long sent = libc_.SendTo(server_fd_, reply.data(), reply.size(), src_port);
     if (sent < 0) {
       coverage_.Hit("bind.pump.err_send");
@@ -210,12 +213,14 @@ int MiniBind::PumpQueries() {
 std::string MiniBind::HandleStatsRequest() {
   ScopedFrame frame(&libc_.stack(), kModule, "statschannel_render");
   coverage_.Hit("bind.stats.body");
-  frame.set_offset(Site("bind.stats.newwriter"));
+  static const uint32_t kSiteBindStatsNewwriter = BindBinary().SiteOffset("bind.stats.newwriter");
+  frame.set_offset(kSiteBindStatsNewwriter);
   VXmlWriter* writer = libc_.XmlNewTextWriterDoc();
   // BUG (Table 1): the writer is not checked. When xmlNewTextWriterDoc
   // fails while a user retrieves statistics over HTTP, the server crashes
   // (statschannel.c).
-  frame.set_offset(Site("bind.stats.writeelem"));
+  static const uint32_t kSiteBindStatsWriteelem = BindBinary().SiteOffset("bind.stats.writeelem");
+  frame.set_offset(kSiteBindStatsWriteelem);
   libc_.XmlWriterWriteElement(writer, "queries", StrFormat("%llu", (unsigned long long)queries_served_));
   libc_.XmlWriterWriteElement(writer, "nxdomain", StrFormat("%llu", (unsigned long long)nxdomain_count_));
   libc_.XmlWriterWriteElement(writer, "zones", StrFormat("%zu", zone_.size()));
@@ -226,8 +231,16 @@ bool MiniBind::DstLibInit() {
   ScopedFrame frame(&libc_.stack(), kModule, "dst_lib_init");
   coverage_.Hit("bind.dst.body");
   dst_tables_.clear();
+  static const std::array<uint32_t, kDstAllocations> kSiteBindDstMalloc = [] {
+    std::array<uint32_t, kDstAllocations> offsets{};
+    for (int i = 0; i < kDstAllocations; ++i) {
+      offsets[static_cast<size_t>(i)] =
+          BindBinary().SiteOffset(StrFormat("bind.dst.malloc%02d", i));
+    }
+    return offsets;
+  }();
   for (int i = 0; i < kDstAllocations; ++i) {
-    frame.set_offset(Site(StrFormat("bind.dst.malloc%02d", i).c_str()));
+    frame.set_offset(kSiteBindDstMalloc[static_cast<size_t>(i)]);
     void* table = libc_.Malloc(128 + static_cast<unsigned long>(i) * 16);
     if (table == nullptr) {
       // The return IS checked -- but the recovery is wrong (Table 1,
@@ -261,7 +274,8 @@ int MiniBind::CleanJournalFiles() {
     if (!EndsWith(name, ".jnl")) {
       continue;
     }
-    frame.set_offset(Site("bind.journal.unlink"));
+    static const uint32_t kSiteBindJournalUnlink = BindBinary().SiteOffset("bind.journal.unlink");
+    frame.set_offset(kSiteBindJournalUnlink);
     if (libc_.Unlink(confdir_ + "/" + name) == -1) {
       coverage_.Hit("bind.journal.err_unlink");
       continue;

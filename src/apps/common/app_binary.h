@@ -9,16 +9,19 @@
 // byte offset. The C++ implementation marks its active call site by name
 // (AppBinary::SiteOffset feeds ScopedFrame::set_offset), so the offsets the
 // analyzer reports are exactly the offsets the call-stack triggers match at
-// run time. The table is also the ground truth for the Table 4 accuracy
-// evaluation.
+// run time. Each call site resolves its name once, into a function-local
+// static, never once per library call. The table is also the ground truth
+// for the Table 4 accuracy evaluation.
 
 #ifndef LFI_APPS_COMMON_APP_BINARY_H_
 #define LFI_APPS_COMMON_APP_BINARY_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "image/image.h"
@@ -55,9 +58,11 @@ struct CallSiteSpec {
 
 class AppBinary {
  public:
+  // Site name -> byte offset; transparent, so a lookup needs no std::string.
+  using SiteOffsets = std::map<std::string, uint32_t, std::less<>>;
+
   AppBinary() = default;
-  AppBinary(Image image, std::map<std::string, uint32_t> site_offsets,
-            std::vector<CallSiteSpec> sites)
+  AppBinary(Image image, SiteOffsets site_offsets, std::vector<CallSiteSpec> sites)
       : image_(std::move(image)),
         site_offsets_(std::move(site_offsets)),
         sites_(std::move(sites)) {}
@@ -66,7 +71,7 @@ class AppBinary {
   const std::vector<CallSiteSpec>& sites() const { return sites_; }
 
   // Byte offset of the named call site; 0xffffffff when unknown.
-  uint32_t SiteOffset(const std::string& site_name) const;
+  uint32_t SiteOffset(std::string_view site_name) const;
 
   const CallSiteSpec* FindSite(const std::string& site_name) const;
 
@@ -76,7 +81,7 @@ class AppBinary {
 
  private:
   Image image_;
-  std::map<std::string, uint32_t> site_offsets_;
+  SiteOffsets site_offsets_;
   std::vector<CallSiteSpec> sites_;
 };
 

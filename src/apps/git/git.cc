@@ -7,11 +7,6 @@
 #include "util/string_util.h"
 
 namespace lfi {
-namespace {
-
-uint32_t Site(const char* name) { return GitBinary().SiteOffset(name); }
-
-}  // namespace
 
 const AppBinary& GitBinary() {
   static const AppBinary* binary = [] {
@@ -153,13 +148,15 @@ std::optional<std::string> MiniGit::WriteObject(const std::string& type,
   if (!libc_.fs()->DirExists(dir)) {
     libc_.fs()->MkDir(dir);
   }
-  frame.set_offset(Site("git.write_object.open"));
+  static const uint32_t kSiteGitWriteObjectOpen = GitBinary().SiteOffset("git.write_object.open");
+  frame.set_offset(kSiteGitWriteObjectOpen);
   int fd = libc_.Open(ObjectPath(id), kOWrOnly | kOCreate | kOTrunc);
   if (fd < 0) {
     coverage_.Hit("git.write_object.err_open");
     return std::nullopt;
   }
-  frame.set_offset(Site("git.write_object.write"));
+  static const uint32_t kSiteGitWriteObjectWrite = GitBinary().SiteOffset("git.write_object.write");
+  frame.set_offset(kSiteGitWriteObjectWrite);
   long n = libc_.Write(fd, payload.data(), payload.size());
   if (n < 0 || static_cast<size_t>(n) != payload.size()) {
     coverage_.Hit("git.write_object.err_write");
@@ -167,7 +164,8 @@ std::optional<std::string> MiniGit::WriteObject(const std::string& type,
     libc_.Unlink(ObjectPath(id));
     return std::nullopt;
   }
-  frame.set_offset(Site("git.write_object.close"));
+  static const uint32_t kSiteGitWriteObjectClose = GitBinary().SiteOffset("git.write_object.close");
+  frame.set_offset(kSiteGitWriteObjectClose);
   if (libc_.Close(fd) == -1) {
     coverage_.Hit("git.write_object.err_close");
     return std::nullopt;
@@ -183,7 +181,8 @@ std::optional<std::string> MiniGit::ReadObject(const std::string& id, std::strin
     coverage_.Hit("git.read_object.err_open");
     return std::nullopt;
   }
-  frame.set_offset(Site("git.read_object.open"));
+  static const uint32_t kSiteGitReadObjectOpen = GitBinary().SiteOffset("git.read_object.open");
+  frame.set_offset(kSiteGitReadObjectOpen);
   int fd = libc_.Open(ObjectPath(id), kORdOnly);
   if (fd < 0) {
     coverage_.Hit("git.read_object.err_open");
@@ -192,7 +191,8 @@ std::optional<std::string> MiniGit::ReadObject(const std::string& id, std::strin
   std::string payload;
   char buf[256];
   while (true) {
-    frame.set_offset(Site("git.read_object.read"));
+    static const uint32_t kSiteGitReadObjectRead = GitBinary().SiteOffset("git.read_object.read");
+    frame.set_offset(kSiteGitReadObjectRead);
     long n = libc_.Read(fd, buf, sizeof buf);
     if (n < 0) {
       if (libc_.verrno() == kEINTR) {
@@ -207,7 +207,8 @@ std::optional<std::string> MiniGit::ReadObject(const std::string& id, std::strin
     }
     payload.append(buf, static_cast<size_t>(n));
   }
-  frame.set_offset(Site("git.read_object.close"));
+  static const uint32_t kSiteGitReadObjectClose = GitBinary().SiteOffset("git.read_object.close");
+  frame.set_offset(kSiteGitReadObjectClose);
   libc_.Close(fd);
 
   size_t nul = payload.find('\0');
@@ -234,21 +235,24 @@ bool MiniGit::Add(const std::string& path, const std::string& content) {
   ScopedFrame frame(&libc_.stack(), kModule, "write_index");
   static const CoverageMap::BlockId kBlkGitIndexBody = CoverageMap::InternBlock("git.index.body");
   coverage_.Hit(kBlkGitIndexBody);
-  frame.set_offset(Site("git.index.open"));
+  static const uint32_t kSiteGitIndexOpen = GitBinary().SiteOffset("git.index.open");
+  frame.set_offset(kSiteGitIndexOpen);
   int fd = libc_.Open(repo_root_ + "/.git/index", kOWrOnly | kOCreate | kOAppend);
   if (fd < 0) {
     coverage_.Hit("git.index.err_open");
     return false;
   }
   std::string line = path + " " + *id + "\n";
-  frame.set_offset(Site("git.index.write"));
+  static const uint32_t kSiteGitIndexWrite = GitBinary().SiteOffset("git.index.write");
+  frame.set_offset(kSiteGitIndexWrite);
   long n = libc_.Write(fd, line.data(), line.size());
   if (n < 0) {
     coverage_.Hit("git.index.err_write");
     libc_.Close(fd);
     return false;
   }
-  frame.set_offset(Site("git.index.close"));
+  static const uint32_t kSiteGitIndexClose = GitBinary().SiteOffset("git.index.close");
+  frame.set_offset(kSiteGitIndexClose);
   libc_.Close(fd);
   return true;
 }
@@ -257,13 +261,15 @@ std::optional<std::string> MiniGit::Commit(const std::string& message) {
   coverage_.Hit("git.commit.body");
   // Tree = current index content.
   ScopedFrame frame(&libc_.stack(), kModule, "read_index");
-  frame.set_offset(Site("git.index.read_open"));
+  static const uint32_t kSiteGitIndexReadOpen = GitBinary().SiteOffset("git.index.read_open");
+  frame.set_offset(kSiteGitIndexReadOpen);
   int fd = libc_.Open(repo_root_ + "/.git/index", kORdOnly);
   std::string index_data;
   if (fd >= 0) {
     char buf[256];
     while (true) {
-      frame.set_offset(Site("git.index.read"));
+      static const uint32_t kSiteGitIndexRead = GitBinary().SiteOffset("git.index.read");
+      frame.set_offset(kSiteGitIndexRead);
       long n = libc_.Read(fd, buf, sizeof buf);
       if (n <= 0) {
         break;
@@ -294,14 +300,16 @@ std::optional<std::string> MiniGit::Commit(const std::string& message) {
     ScopedFrame ref_frame(&libc_.stack(), kModule, "update_ref");
     static const CoverageMap::BlockId kBlkGitRefBody = CoverageMap::InternBlock("git.ref.body");
     coverage_.Hit(kBlkGitRefBody);
-    ref_frame.set_offset(Site("git.ref.open"));
+    static const uint32_t kSiteGitRefOpen = GitBinary().SiteOffset("git.ref.open");
+    ref_frame.set_offset(kSiteGitRefOpen);
     int ref_fd = libc_.Open(repo_root_ + "/.git/refs/heads/master", kOWrOnly | kOCreate | kOTrunc);
     if (ref_fd < 0) {
       coverage_.Hit("git.ref.err_open");
       coverage_.Hit("git.commit.err_ref");
       return std::nullopt;
     }
-    ref_frame.set_offset(Site("git.ref.write"));
+    static const uint32_t kSiteGitRefWrite = GitBinary().SiteOffset("git.ref.write");
+    ref_frame.set_offset(kSiteGitRefWrite);
     long n = libc_.Write(ref_fd, commit_id->data(), commit_id->size());
     if (n < 0) {
       coverage_.Hit("git.ref.err_write");
@@ -309,7 +317,8 @@ std::optional<std::string> MiniGit::Commit(const std::string& message) {
       libc_.Close(ref_fd);
       return std::nullopt;
     }
-    ref_frame.set_offset(Site("git.ref.close"));
+    static const uint32_t kSiteGitRefClose = GitBinary().SiteOffset("git.ref.close");
+    ref_frame.set_offset(kSiteGitRefClose);
     libc_.Close(ref_fd);
   }
   RunHook("post-commit");
@@ -320,21 +329,25 @@ std::optional<std::string> MiniGit::HeadCommit() {
   ScopedFrame frame(&libc_.stack(), kModule, "resolve_ref");
   coverage_.Hit("git.resolve_ref.body");
   char target[128];
-  frame.set_offset(Site("git.resolve_ref.readlink"));
+  static const uint32_t kSiteGitResolveRefReadlink =
+      GitBinary().SiteOffset("git.resolve_ref.readlink");
+  frame.set_offset(kSiteGitResolveRefReadlink);
   long n = libc_.ReadLink(repo_root_ + "/.git/HEAD", target, sizeof target);
   if (n < 0) {
     coverage_.Hit("git.resolve_ref.err_link");
     return std::nullopt;
   }
   std::string ref_path = repo_root_ + "/.git/" + std::string(target, static_cast<size_t>(n));
-  frame.set_offset(Site("git.ref.read_open"));
+  static const uint32_t kSiteGitRefReadOpen = GitBinary().SiteOffset("git.ref.read_open");
+  frame.set_offset(kSiteGitRefReadOpen);
   int fd = libc_.Open(ref_path, kORdOnly);
   if (fd < 0) {
     coverage_.Hit("git.resolve_ref.err_open");
     return std::nullopt;  // unborn branch
   }
   char buf[64];
-  frame.set_offset(Site("git.ref.read"));
+  static const uint32_t kSiteGitRefRead = GitBinary().SiteOffset("git.ref.read");
+  frame.set_offset(kSiteGitRefRead);
   long r = libc_.Read(fd, buf, sizeof buf);
   libc_.Close(fd);
   if (r < 0) {
@@ -348,11 +361,13 @@ std::vector<std::string> MiniGit::ListBranches() {
   ScopedFrame frame(&libc_.stack(), kModule, "list_branches");
   coverage_.Hit("git.branches.body");
   std::vector<std::string> out;
-  frame.set_offset(Site("git.branches.opendir"));
+  static const uint32_t kSiteGitBranchesOpendir = GitBinary().SiteOffset("git.branches.opendir");
+  frame.set_offset(kSiteGitBranchesOpendir);
   VDir* dir = libc_.OpenDir(repo_root_ + "/.git/refs/heads");
   // BUG (Table 1): `dir` is not checked; a failed opendir (ENOMEM, EMFILE)
   // hands readdir a NULL pointer and the process segfaults.
-  frame.set_offset(Site("git.branches.readdir"));
+  static const uint32_t kSiteGitBranchesReaddir = GitBinary().SiteOffset("git.branches.readdir");
+  frame.set_offset(kSiteGitBranchesReaddir);
   while (const char* entry = libc_.ReadDir(dir)) {
     out.emplace_back(entry);
   }
@@ -368,20 +383,23 @@ bool MiniGit::CreateBranch(const std::string& name) {
   ScopedFrame frame(&libc_.stack(), kModule, "update_ref");
   static const CoverageMap::BlockId kBlkGitRefBody = CoverageMap::InternBlock("git.ref.body");
   coverage_.Hit(kBlkGitRefBody);
-  frame.set_offset(Site("git.ref.open"));
+  static const uint32_t kSiteGitRefOpen = GitBinary().SiteOffset("git.ref.open");
+  frame.set_offset(kSiteGitRefOpen);
   int fd = libc_.Open(repo_root_ + "/.git/refs/heads/" + name, kOWrOnly | kOCreate | kOTrunc);
   if (fd < 0) {
     coverage_.Hit("git.ref.err_open");
     return false;
   }
-  frame.set_offset(Site("git.ref.write"));
+  static const uint32_t kSiteGitRefWrite = GitBinary().SiteOffset("git.ref.write");
+  frame.set_offset(kSiteGitRefWrite);
   long n = libc_.Write(fd, head->data(), head->size());
   if (n < 0) {
     coverage_.Hit("git.ref.err_write");
     libc_.Close(fd);
     return false;
   }
-  frame.set_offset(Site("git.ref.close"));
+  static const uint32_t kSiteGitRefClose = GitBinary().SiteOffset("git.ref.close");
+  frame.set_offset(kSiteGitRefClose);
   libc_.Close(fd);
   return true;
 }
@@ -409,7 +427,9 @@ std::optional<MergeResult> MiniGit::Merge(const std::string& base_id, const std:
     return std::nullopt;
   }
   ScopedFrame frame(&libc_.stack(), kModule, "xdl_do_merge");
-  return XMerge3(&libc_, &frame, Site("git.xmerge.malloc567"), Site("git.xmerge.malloc571"),
+  static const uint32_t kSiteGitXmergeMalloc567 = GitBinary().SiteOffset("git.xmerge.malloc567");
+  static const uint32_t kSiteGitXmergeMalloc571 = GitBinary().SiteOffset("git.xmerge.malloc571");
+  return XMerge3(&libc_, &frame, kSiteGitXmergeMalloc567, kSiteGitXmergeMalloc571,
                  SplitLines(*base), SplitLines(*ours), SplitLines(*theirs));
 }
 
@@ -423,7 +443,9 @@ std::optional<std::string> MiniGit::PatienceDiffBlobs(const std::string& id_a,
     return std::nullopt;
   }
   ScopedFrame frame(&libc_.stack(), kModule, "patience_diff");
-  return RenderDiff(PatienceDiff(&libc_, &frame, Site("git.xpatience.malloc191"), SplitLines(*a),
+  static const uint32_t kSiteGitXpatienceMalloc191 =
+      GitBinary().SiteOffset("git.xpatience.malloc191");
+  return RenderDiff(PatienceDiff(&libc_, &frame, kSiteGitXpatienceMalloc191, SplitLines(*a),
                                  SplitLines(*b)));
 }
 
@@ -433,13 +455,15 @@ void MiniGit::RunHook(const std::string& hook_name) {
   ++hook_runs_;
 
   // The child command starts from a scrubbed environment...
-  frame.set_offset(Site("git.hook.unsetenv"));
+  static const uint32_t kSiteGitHookUnsetenv = GitBinary().SiteOffset("git.hook.unsetenv");
+  frame.set_offset(kSiteGitHookUnsetenv);
   if (libc_.UnsetEnv("GIT_DIR") == -1) {
     return;
   }
   // ...and BUG (Table 1): the setenv return is not checked. On failure the
   // "external command" below runs with an incomplete environment.
-  frame.set_offset(Site("git.hook.setenv"));
+  static const uint32_t kSiteGitHookSetenv = GitBinary().SiteOffset("git.hook.setenv");
+  frame.set_offset(kSiteGitHookSetenv);
   libc_.SetEnv("GIT_DIR", repo_root_ + "/.git", 1);
 
   // The external command: appends a line to $GIT_DIR/hooks.log. With GIT_DIR
@@ -448,16 +472,19 @@ void MiniGit::RunHook(const std::string& hook_name) {
   const char* dir = libc_.GetEnv("GIT_DIR");
   std::string target = dir != nullptr ? std::string(dir) + "/hooks.log"
                                       : repo_root_ + "/.git/refs/heads/master";
-  frame.set_offset(Site("git.hook.open"));
+  static const uint32_t kSiteGitHookOpen = GitBinary().SiteOffset("git.hook.open");
+  frame.set_offset(kSiteGitHookOpen);
   int fd = libc_.Open(target, kOWrOnly | kOCreate | kOAppend);
   if (fd < 0) {
     coverage_.Hit("git.hook.err_open");
     return;
   }
   std::string line = StrFormat("hook %s run %d\n", hook_name.c_str(), hook_runs_);
-  frame.set_offset(Site("git.hook.write"));
+  static const uint32_t kSiteGitHookWrite = GitBinary().SiteOffset("git.hook.write");
+  frame.set_offset(kSiteGitHookWrite);
   libc_.Write(fd, line.data(), line.size());
-  frame.set_offset(Site("git.hook.close"));
+  static const uint32_t kSiteGitHookClose = GitBinary().SiteOffset("git.hook.close");
+  frame.set_offset(kSiteGitHookClose);
   libc_.Close(fd);
 }
 
@@ -465,14 +492,16 @@ bool MiniGit::Fsck() {
   coverage_.Hit("git.fsck.body");
   for (const std::string& branch : ListBranches()) {
     ScopedFrame frame(&libc_.stack(), kModule, "resolve_ref");
-    frame.set_offset(Site("git.ref.read_open"));
+    static const uint32_t kSiteGitRefReadOpen = GitBinary().SiteOffset("git.ref.read_open");
+    frame.set_offset(kSiteGitRefReadOpen);
     int fd = libc_.Open(repo_root_ + "/.git/refs/heads/" + branch, kORdOnly);
     if (fd < 0) {
       coverage_.Hit("git.fsck.err_missing");
       return false;
     }
     char buf[64];
-    frame.set_offset(Site("git.ref.read"));
+    static const uint32_t kSiteGitRefRead = GitBinary().SiteOffset("git.ref.read");
+    frame.set_offset(kSiteGitRefRead);
     long n = libc_.Read(fd, buf, sizeof buf);
     libc_.Close(fd);
     if (n != 40) {

@@ -5,11 +5,6 @@
 #include "util/string_util.h"
 
 namespace lfi {
-namespace {
-
-uint32_t Site(const char* name) { return HttpdBinary().SiteOffset(name); }
-
-}  // namespace
 
 const AppBinary& HttpdBinary() {
   static const AppBinary* binary = [] {
@@ -52,7 +47,8 @@ void MiniHttpd::InstallDefaultSite() {
 
 std::string MiniHttpd::ServeStatic(const std::string& path) {
   ScopedFrame frame(&libc_.stack(), kModule, "default_handler");
-  frame.set_offset(Site("httpd.static.open"));
+  static const uint32_t kSiteHttpdStaticOpen = HttpdBinary().SiteOffset("httpd.static.open");
+  frame.set_offset(kSiteHttpdStaticOpen);
   int fd = libc_.Open(path, kORdOnly);
   if (fd < 0) {
     return "404 Not Found";
@@ -60,7 +56,8 @@ std::string MiniHttpd::ServeStatic(const std::string& path) {
   std::string body;
   char buf[256];
   while (true) {
-    frame.set_offset(Site("httpd.static.read"));
+    static const uint32_t kSiteHttpdStaticRead = HttpdBinary().SiteOffset("httpd.static.read");
+    frame.set_offset(kSiteHttpdStaticRead);
     long n = libc_.AprFileRead(fd, buf, sizeof buf);
     if (n < 0) {
       libc_.Close(fd);
@@ -71,14 +68,16 @@ std::string MiniHttpd::ServeStatic(const std::string& path) {
     }
     body.append(buf, static_cast<size_t>(n));
   }
-  frame.set_offset(Site("httpd.static.close"));
+  static const uint32_t kSiteHttpdStaticClose = HttpdBinary().SiteOffset("httpd.static.close");
+  frame.set_offset(kSiteHttpdStaticClose);
   libc_.Close(fd);
   return body;
 }
 
 std::string MiniHttpd::ServePhp(const std::string& path, const RequestRec& request) {
   ScopedFrame frame(&libc_.stack(), kModule, "php_handler");
-  frame.set_offset(Site("httpd.php.open"));
+  static const uint32_t kSiteHttpdPhpOpen = HttpdBinary().SiteOffset("httpd.php.open");
+  frame.set_offset(kSiteHttpdPhpOpen);
   int fd = libc_.Open(path, kORdOnly);
   if (fd < 0) {
     return "404 Not Found";
@@ -86,14 +85,16 @@ std::string MiniHttpd::ServePhp(const std::string& path, const RequestRec& reque
   std::string script;
   char buf[128];
   while (true) {
-    frame.set_offset(Site("httpd.php.read"));
+    static const uint32_t kSiteHttpdPhpRead = HttpdBinary().SiteOffset("httpd.php.read");
+    frame.set_offset(kSiteHttpdPhpRead);
     long n = libc_.AprFileRead(fd, buf, sizeof buf);
     if (n <= 0) {
       break;
     }
     script.append(buf, static_cast<size_t>(n));
   }
-  frame.set_offset(Site("httpd.php.close"));
+  static const uint32_t kSiteHttpdPhpClose = HttpdBinary().SiteOffset("httpd.php.close");
+  frame.set_offset(kSiteHttpdPhpClose);
   libc_.Close(fd);
 
   // "Execute" the script: compute-bound work, few library calls.
@@ -108,15 +109,18 @@ std::string MiniHttpd::ServeExtModule(const RequestRec& request) {
   // Dynamically-loaded module: its frames carry the mod_ext module name, so
   // call-stack triggers scoped to httpd-core exclude it.
   ScopedFrame frame(&libc_.stack(), kExtModule, "ext_handler");
-  frame.set_offset(Site("httpd.ext.open"));
+  static const uint32_t kSiteHttpdExtOpen = HttpdBinary().SiteOffset("httpd.ext.open");
+  frame.set_offset(kSiteHttpdExtOpen);
   int fd = libc_.Open(docroot_ + request.uri, kORdOnly);
   if (fd < 0) {
     return "404 Not Found";
   }
   char buf[64];
-  frame.set_offset(Site("httpd.ext.read"));
+  static const uint32_t kSiteHttpdExtRead = HttpdBinary().SiteOffset("httpd.ext.read");
+  frame.set_offset(kSiteHttpdExtRead);
   long n = libc_.AprFileRead(fd, buf, sizeof buf);
-  frame.set_offset(Site("httpd.ext.close"));
+  static const uint32_t kSiteHttpdExtClose = HttpdBinary().SiteOffset("httpd.ext.close");
+  frame.set_offset(kSiteHttpdExtClose);
   libc_.Close(fd);
   return n >= 0 ? "ext ok" : "ext error";
 }
@@ -128,7 +132,8 @@ std::string MiniHttpd::ProcessRequest(const RequestRec& request) {
   ++requests_served_;
 
   // The accept/request mutex: part of each request's library-call mix.
-  frame.set_offset(Site("httpd.lock"));
+  static const uint32_t kSiteHttpdLock = HttpdBinary().SiteOffset("httpd.lock");
+  frame.set_offset(kSiteHttpdLock);
   libc_.MutexLock(&accept_mutex_);
   std::string response;
   if (StartsWith(request.uri, "/ext/")) {
@@ -138,7 +143,8 @@ std::string MiniHttpd::ProcessRequest(const RequestRec& request) {
   } else {
     response = ServeStatic(docroot_ + request.uri);
   }
-  frame.set_offset(Site("httpd.unlock"));
+  static const uint32_t kSiteHttpdUnlock = HttpdBinary().SiteOffset("httpd.unlock");
+  frame.set_offset(kSiteHttpdUnlock);
   libc_.MutexUnlock(&accept_mutex_);
   return response;
 }

@@ -7,11 +7,6 @@
 #include "vlib/sim_crash.h"
 
 namespace lfi {
-namespace {
-
-uint32_t Site(const char* name) { return MysqlBinary().SiteOffset(name); }
-
-}  // namespace
 
 const AppBinary& MysqlBinary() {
   static const AppBinary* binary = [] {
@@ -89,7 +84,8 @@ bool MiniMysql::Startup() {
   ScopedFrame frame(&libc_.stack(), kModule, "read_errmsg");
   coverage_.Hit("mysql.errmsg.body");
 
-  frame.set_offset(Site("mysql.errmsg.open"));
+  static const uint32_t kSiteMysqlErrmsgOpen = MysqlBinary().SiteOffset("mysql.errmsg.open");
+  frame.set_offset(kSiteMysqlErrmsgOpen);
   int fd = libc_.Open(datadir_ + "/share/errmsg.sys", kORdOnly);
   if (fd < 0) {
     // Bug #25097 was fixed: a *missing* errmsg.sys is reported cleanly.
@@ -99,7 +95,8 @@ bool MiniMysql::Startup() {
   }
 
   char buf[4096];
-  frame.set_offset(Site("mysql.errmsg.read"));
+  static const uint32_t kSiteMysqlErrmsgRead = MysqlBinary().SiteOffset("mysql.errmsg.read");
+  frame.set_offset(kSiteMysqlErrmsgRead);
   long n = libc_.Read(fd, buf, sizeof buf);
   if (n < 0) {
     // BUG (#53393): the error is logged, but initialization is skipped and
@@ -111,7 +108,8 @@ bool MiniMysql::Startup() {
     errmsg_.messages = &errmsg_storage_;
     errmsg_.initialized = true;
   }
-  frame.set_offset(Site("mysql.errmsg.close"));
+  static const uint32_t kSiteMysqlErrmsgClose = MysqlBinary().SiteOffset("mysql.errmsg.close");
+  frame.set_offset(kSiteMysqlErrmsgClose);
   libc_.Close(fd);
 
   // Prime the startup banner: formats message 0 through the table. When the
@@ -134,7 +132,8 @@ int MiniMysql::MiCreate(const std::string& table) {
   ScopedFrame frame(&libc_.stack(), kModule, "mi_create");
   coverage_.Hit("mysql.mi_create.body");
 
-  frame.set_offset(Site("mysql.mi_create.lock"));
+  static const uint32_t kSiteMysqlMiCreateLock = MysqlBinary().SiteOffset("mysql.mi_create.lock");
+  frame.set_offset(kSiteMysqlMiCreateLock);
   if (libc_.MutexLock(&create_mutex_) != 0) {
     return -1;
   }
@@ -142,7 +141,8 @@ int MiniMysql::MiCreate(const std::string& table) {
   int fds[kMiCreateSegments];
   int opened = 0;
   for (int i = 0; i < kMiCreateSegments; ++i) {
-    frame.set_offset(Site("mysql.mi_create.open"));
+    static const uint32_t kSiteMysqlMiCreateOpen = MysqlBinary().SiteOffset("mysql.mi_create.open");
+    frame.set_offset(kSiteMysqlMiCreateOpen);
     fds[i] = libc_.Open(TablePath(table, i), kOWrOnly | kOCreate | kOTrunc);
     if (fds[i] < 0) {
       coverage_.Hit("mysql.mi_create.err_open");
@@ -154,7 +154,9 @@ int MiniMysql::MiCreate(const std::string& table) {
     }
     ++opened;
     std::string header = StrFormat("MYI\1 segment %d of %s\n", i, table.c_str());
-    frame.set_offset(Site("mysql.mi_create.write"));
+    static const uint32_t kSiteMysqlMiCreateWrite =
+        MysqlBinary().SiteOffset("mysql.mi_create.write");
+    frame.set_offset(kSiteMysqlMiCreateWrite);
     long n = libc_.Write(fds[i], header.data(), header.size());
     if (n < 0) {
       coverage_.Hit("mysql.mi_create.err_write");
@@ -167,7 +169,9 @@ int MiniMysql::MiCreate(const std::string& table) {
   }
 
   // Normal flow: creation is done, release the creation mutex...
-  frame.set_offset(Site("mysql.mi_create.unlock"));
+  static const uint32_t kSiteMysqlMiCreateUnlock =
+      MysqlBinary().SiteOffset("mysql.mi_create.unlock");
+  frame.set_offset(kSiteMysqlMiCreateUnlock);
   libc_.MutexUnlock(&create_mutex_);
 
   // ...then flush/close the segments. BUG (#53268): a failed close jumps to
@@ -175,7 +179,9 @@ int MiniMysql::MiCreate(const std::string& table) {
   // including the mutex the normal flow just released. Double unlock.
   bool failed = false;
   for (int i = 0; i < kMiCreateSegments; ++i) {
-    frame.set_offset(Site("mysql.mi_create.close"));
+    static const uint32_t kSiteMysqlMiCreateClose =
+        MysqlBinary().SiteOffset("mysql.mi_create.close");
+    frame.set_offset(kSiteMysqlMiCreateClose);
     if (libc_.Close(fds[i]) == -1) {
       failed = true;
       break;
@@ -203,16 +209,19 @@ bool MiniMysql::MergeBig() {
     if (!libc_.fs()->FileExists(path)) {
       libc_.fs()->WriteFile(path, StrFormat("source table %d\n", i));
     }
-    frame.set_offset(Site("mysql.merge.open"));
+    static const uint32_t kSiteMysqlMergeOpen = MysqlBinary().SiteOffset("mysql.merge.open");
+    frame.set_offset(kSiteMysqlMergeOpen);
     int fd = libc_.Open(path, kORdOnly);
     if (fd < 0) {
       coverage_.Hit("mysql.merge.err_scan");
       return false;
     }
     char buf[64];
-    frame.set_offset(Site("mysql.merge.read"));
+    static const uint32_t kSiteMysqlMergeRead = MysqlBinary().SiteOffset("mysql.merge.read");
+    frame.set_offset(kSiteMysqlMergeRead);
     libc_.Read(fd, buf, sizeof buf);
-    frame.set_offset(Site("mysql.merge.close"));
+    static const uint32_t kSiteMysqlMergeClose = MysqlBinary().SiteOffset("mysql.merge.close");
+    frame.set_offset(kSiteMysqlMergeClose);
     if (libc_.Close(fd) == -1) {
       coverage_.Hit("mysql.merge.err_scan");
       return false;
@@ -234,7 +243,8 @@ bool MiniMysql::OltpInit(int rows) {
     data += row;
   }
   libc_.fs()->WriteFile(datadir_ + "/oltp.MYD", std::move(data));
-  frame.set_offset(Site("mysql.oltp.open"));
+  static const uint32_t kSiteMysqlOltpOpen = MysqlBinary().SiteOffset("mysql.oltp.open");
+  frame.set_offset(kSiteMysqlOltpOpen);
   oltp_fd_ = libc_.Open(datadir_ + "/oltp.MYD", kORdWr);
   if (oltp_fd_ < 0) {
     return false;
@@ -248,19 +258,22 @@ std::optional<std::string> MiniMysql::OltpRead(int key) {
     return std::nullopt;
   }
   ScopedFrame frame(&libc_.stack(), kModule, "oltp_row");
-  frame.set_offset(Site("mysql.oltp.fcntl"));
+  static const uint32_t kSiteMysqlOltpFcntl = MysqlBinary().SiteOffset("mysql.oltp.fcntl");
+  frame.set_offset(kSiteMysqlOltpFcntl);
   if (libc_.Fcntl(oltp_fd_, kFGetLk, key) == -1) {
     coverage_.Hit("mysql.oltp.err_lock");
     return std::nullopt;
   }
-  frame.set_offset(Site("mysql.oltp.lseek"));
+  static const uint32_t kSiteMysqlOltpLseek = MysqlBinary().SiteOffset("mysql.oltp.lseek");
+  frame.set_offset(kSiteMysqlOltpLseek);
   if (libc_.Lseek(oltp_fd_, static_cast<long>(key) * static_cast<long>(kRowWidth), kSeekSet) <
       0) {
     coverage_.Hit("mysql.oltp.err_io");
     return std::nullopt;
   }
   char buf[kRowWidth];
-  frame.set_offset(Site("mysql.oltp.read"));
+  static const uint32_t kSiteMysqlOltpRead = MysqlBinary().SiteOffset("mysql.oltp.read");
+  frame.set_offset(kSiteMysqlOltpRead);
   long n = libc_.Read(oltp_fd_, buf, kRowWidth);
   if (n < 0) {
     coverage_.Hit("mysql.oltp.err_io");
@@ -274,12 +287,14 @@ bool MiniMysql::OltpWrite(int key, const std::string& value) {
     return false;
   }
   ScopedFrame frame(&libc_.stack(), kModule, "oltp_row");
-  frame.set_offset(Site("mysql.oltp.fcntl"));
+  static const uint32_t kSiteMysqlOltpFcntl = MysqlBinary().SiteOffset("mysql.oltp.fcntl");
+  frame.set_offset(kSiteMysqlOltpFcntl);
   if (libc_.Fcntl(oltp_fd_, kFSetLk, key) == -1) {
     coverage_.Hit("mysql.oltp.err_lock");
     return false;
   }
-  frame.set_offset(Site("mysql.oltp.lseek"));
+  static const uint32_t kSiteMysqlOltpLseek = MysqlBinary().SiteOffset("mysql.oltp.lseek");
+  frame.set_offset(kSiteMysqlOltpLseek);
   if (libc_.Lseek(oltp_fd_, static_cast<long>(key) * static_cast<long>(kRowWidth), kSeekSet) <
       0) {
     coverage_.Hit("mysql.oltp.err_io");
@@ -288,7 +303,8 @@ bool MiniMysql::OltpWrite(int key, const std::string& value) {
   std::string row = value;
   row.resize(kRowWidth - 1, ' ');
   row += "\n";
-  frame.set_offset(Site("mysql.oltp.write"));
+  static const uint32_t kSiteMysqlOltpWrite = MysqlBinary().SiteOffset("mysql.oltp.write");
+  frame.set_offset(kSiteMysqlOltpWrite);
   long n = libc_.Write(oltp_fd_, row.data(), row.size());
   if (n < 0) {
     coverage_.Hit("mysql.oltp.err_io");

@@ -1,5 +1,6 @@
 #include "apps/pbft/pbft.h"
 
+#include <charconv>
 #include <cstring>
 
 #include "util/errno_codes.h"
@@ -10,9 +11,31 @@
 namespace lfi {
 namespace {
 
-uint32_t Site(const char* name) { return PbftBinary().SiteOffset(name); }
+std::string Digest(std::string_view payload) { return Sha1::HexDigest(payload).substr(0, 16); }
 
-std::string Digest(const std::string& payload) { return Sha1::HexDigest(payload).substr(0, 16); }
+// Wire encoding. A message is its fields joined by a separator ('|' between
+// message fields, '#' inside a request payload). Integers are decimal and
+// strings end at their first NUL, so a message is byte for byte the one
+// StrFormat("%d|%lld|%s...") would build -- the wire bytes are part of the
+// journal-identity contract.
+void AppendField(std::string* out, int64_t value) {
+  char digits[24];
+  auto [end, ec] = std::to_chars(digits, digits + sizeof digits, value);
+  out->append(digits, end);
+}
+
+void AppendField(std::string* out, std::string_view text) {
+  out->append(text.substr(0, text.find('\0')));
+}
+
+template <typename First, typename... Rest>
+std::string Encode(char sep, const First& first, const Rest&... rest) {
+  std::string out;
+  out.reserve(64);
+  AppendField(&out, first);
+  ((out += sep, AppendField(&out, rest)), ...);
+  return out;
+}
 
 // Session-key derivation (the authenticators of the PBFT paper): both ends
 // of a node pair stretch the pair identity into a shared MAC key by iterated
@@ -114,12 +137,14 @@ PbftReplica::SeqState& PbftReplica::Seq(int64_t seq) { return log_[seq]; }
 
 bool PbftReplica::Start() {
   ScopedFrame frame(&libc_.stack(), kModule, "replica_init");
-  frame.set_offset(Site("pbft.replica.socket"));
+  static const uint32_t kSitePbftReplicaSocket = PbftBinary().SiteOffset("pbft.replica.socket");
+  frame.set_offset(kSitePbftReplicaSocket);
   fd_ = libc_.Socket();
   if (fd_ < 0) {
     return false;
   }
-  frame.set_offset(Site("pbft.replica.bind"));
+  static const uint32_t kSitePbftReplicaBind = PbftBinary().SiteOffset("pbft.replica.bind");
+  frame.set_offset(kSitePbftReplicaBind);
   if (libc_.BindSocket(fd_, kPbftBasePort + id_) != 0) {
     return false;
   }
@@ -136,7 +161,8 @@ bool PbftReplica::Start() {
 
 void PbftReplica::SendTo(int port, const std::string& msg) {
   ScopedFrame frame(&libc_.stack(), kModule, "send_message");
-  frame.set_offset(Site("pbft.replica.sendto"));
+  static const uint32_t kSitePbftReplicaSendto = PbftBinary().SiteOffset("pbft.replica.sendto");
+  frame.set_offset(kSitePbftReplicaSendto);
   // Fire-and-forget (release build): result intentionally unchecked.
   libc_.SendTo(fd_, msg.data(), msg.size(), port);
 }
@@ -163,7 +189,9 @@ void PbftReplica::Step() {
     for (int budget = 0; budget < 256; ++budget) {
       char buf[2048];
       int src_port = -1;
-      frame.set_offset(Site("pbft.replica.recvfrom"));
+      static const uint32_t kSitePbftReplicaRecvfrom =
+          PbftBinary().SiteOffset("pbft.replica.recvfrom");
+      frame.set_offset(kSitePbftReplicaRecvfrom);
       long n = libc_.RecvFrom(fd_, buf, sizeof buf, &src_port);
       if (n < 0) {
         if (libc_.verrno() == kEAGAIN) {
@@ -188,7 +216,7 @@ void PbftReplica::Step() {
       if (session_keys_.find(src_port) == session_keys_.end()) {
         continue;
       }
-      HandleMessage(std::string(buf, static_cast<size_t>(n)), src_port);
+      HandleMessage(std::string_view(buf, static_cast<size_t>(n)), src_port);
       if (halted_) {
         return;
       }
@@ -216,24 +244,36 @@ void PbftReplica::Step() {
   }
 }
 
-void PbftReplica::HandleMessage(const std::string& msg, int src_port) {
-  std::vector<std::string> parts = Split(msg, '|');
-  if (parts.empty()) {
-    return;
-  }
-  const std::string& type = parts[0];
-  if (type == "REQ" && parts.size() >= 4) {
-    bool forwarded = parts.size() >= 5 && parts[4] == "1";
-    OnRequest(parts[2], static_cast<int>(*ParseInt(parts[3])), forwarded);
-  } else if (type == "PP" && parts.size() >= 5) {
-    OnPrePrepare(static_cast<int>(*ParseInt(parts[1])), *ParseInt(parts[2]), parts[3], parts[4]);
-  } else if (type == "P" && parts.size() >= 5) {
-    OnPrepare(static_cast<int>(*ParseInt(parts[1])), *ParseInt(parts[2]), parts[3],
-              static_cast<int>(*ParseInt(parts[4])), src_port);
-  } else if (type == "C" && parts.size() >= 5) {
-    OnCommit(static_cast<int>(*ParseInt(parts[1])), *ParseInt(parts[2]), parts[3],
-             static_cast<int>(*ParseInt(parts[4])), src_port);
-  } else if (type == "FETCH" && parts.size() >= 3) {
+void PbftReplica::HandleMessage(std::string_view msg, int src_port) {
+  // Views into the receive buffer; a datagram whose numeric fields do not
+  // parse (truncated or garbled on the wire) is dropped.
+  std::string_view parts[5];
+  size_t count = SplitInto(msg, '|', parts);
+  std::string_view type = parts[0];
+  if (type == "REQ" && count >= 4) {
+    bool forwarded = count >= 5 && parts[4] == "1";
+    auto client_port = ParseInt(parts[3]);
+    if (client_port) {
+      OnRequest(parts[2], static_cast<int>(*client_port), forwarded);
+    }
+  } else if (type == "PP" && count >= 5) {
+    auto view = ParseInt(parts[1]);
+    auto seq = ParseInt(parts[2]);
+    if (view && seq) {
+      OnPrePrepare(static_cast<int>(*view), *seq, parts[3], parts[4]);
+    }
+  } else if ((type == "P" || type == "C") && count >= 5) {
+    auto view = ParseInt(parts[1]);
+    auto seq = ParseInt(parts[2]);
+    auto replica = ParseInt(parts[4]);
+    if (view && seq && replica) {
+      if (type == "P") {
+        OnPrepare(static_cast<int>(*view), *seq, parts[3], static_cast<int>(*replica), src_port);
+      } else {
+        OnCommit(static_cast<int>(*view), *seq, parts[3], static_cast<int>(*replica), src_port);
+      }
+    }
+  } else if (type == "FETCH" && count >= 3) {
     // Missing-message retrieval (PBFT's message/state-transfer mechanism):
     // answer with the pre-prepare if we hold the payload.
     auto seq = ParseInt(parts[1]);
@@ -245,25 +285,31 @@ void PbftReplica::HandleMessage(const std::string& msg, int src_port) {
         auto it = log_.find(*seq);
         if (it != log_.end() && it->second.request != nullptr) {
           SendTo(kPbftBasePort + static_cast<int>(*requester),
-                 StrFormat("PP|%d|%lld|%s|%s", view_, static_cast<long long>(*seq),
-                           it->second.digest.c_str(), it->second.request->c_str()));
+                 Encode('|', "PP", view_, *seq, it->second.digest, *it->second.request));
         }
       }
     }
-  } else if (type == "STATE" && parts.size() >= 4) {
+  } else if (type == "STATE" && count >= 4) {
     auto executed = ParseInt(parts[1]);
     auto view = ParseInt(parts[3]);
     if (executed && view) {
       OnStateTransfer(*executed, parts[2], static_cast<int>(*view));
     }
-  } else if (type == "VC" && parts.size() >= 3) {
-    OnViewChange(static_cast<int>(*ParseInt(parts[1])), static_cast<int>(*ParseInt(parts[2])));
-  } else if (type == "NV" && parts.size() >= 3) {
-    OnNewView(static_cast<int>(*ParseInt(parts[1])), parts[2]);
+  } else if (type == "VC" && count >= 3) {
+    auto view = ParseInt(parts[1]);
+    auto replica = ParseInt(parts[2]);
+    if (view && replica) {
+      OnViewChange(static_cast<int>(*view), static_cast<int>(*replica));
+    }
+  } else if (type == "NV" && count >= 3) {
+    auto view = ParseInt(parts[1]);
+    if (view) {
+      OnNewView(static_cast<int>(*view), parts[2]);
+    }
   }
 }
 
-void PbftReplica::OnRequest(const std::string& payload, int client_port, bool forwarded) {
+void PbftReplica::OnRequest(std::string_view payload, int client_port, bool forwarded) {
   std::string digest = Digest(payload);
   if (executed_digests_.count(digest) != 0) {
     // Duplicate of an executed request: re-send the cached reply.
@@ -277,8 +323,7 @@ void PbftReplica::OnRequest(const std::string& payload, int client_port, bool fo
   if (!is_primary()) {
     if (!forwarded) {
       // Client broadcast: relay to the primary and start suspecting it.
-      std::string fwd = StrFormat("REQ|0|%s|%d|1", payload.c_str(), client_port);
-      SendTo(kPbftBasePort + (view_ % config_.n), fwd);
+      SendTo(kPbftBasePort + (view_ % config_.n), Encode('|', "REQ", 0, payload, client_port, 1));
     }
     return;
   }
@@ -286,8 +331,7 @@ void PbftReplica::OnRequest(const std::string& payload, int client_port, bool fo
   for (auto& [seq, st] : log_) {
     if (st.digest == digest) {
       if (st.request != nullptr) {
-        Multicast(StrFormat("PP|%d|%lld|%s|%s", view_, static_cast<long long>(seq),
-                            digest.c_str(), st.request->c_str()));
+        Multicast(Encode('|', "PP", view_, seq, digest, *st.request));
       }
       return;
     }
@@ -298,8 +342,7 @@ void PbftReplica::OnRequest(const std::string& payload, int client_port, bool fo
   st.request = std::make_unique<std::string>(payload);
   st.pre_prepared = true;
   st.prepares.insert(id_);
-  Multicast(StrFormat("PP|%d|%lld|%s|%s", view_, static_cast<long long>(seq), digest.c_str(),
-                      payload.c_str()));
+  Multicast(Encode('|', "PP", view_, seq, digest, payload));
 }
 
 void PbftReplica::CatchUpView(int view) {
@@ -319,11 +362,10 @@ void PbftReplica::SendStateTo(int port) {
   if (port < 0) {
     return;
   }
-  SendTo(port, StrFormat("STATE|%lld|%s|%d", static_cast<long long>(low_watermark_),
-                         checkpoint_digest_.c_str(), view_));
+  SendTo(port, Encode('|', "STATE", low_watermark_, checkpoint_digest_, view_));
 }
 
-void PbftReplica::OnStateTransfer(int64_t executed, const std::string& digest, int view) {
+void PbftReplica::OnStateTransfer(int64_t executed, std::string_view digest, int view) {
   // Checkpoint-based state transfer: adopt a peer's stable checkpoint when it
   // is ahead of ours (the real protocol verifies 2f+1 checkpoint signatures;
   // the simulation trusts its honest replicas).
@@ -342,8 +384,8 @@ void PbftReplica::OnStateTransfer(int64_t executed, const std::string& digest, i
   idle_ticks_ = 0;
 }
 
-void PbftReplica::OnPrePrepare(int view, int64_t seq, const std::string& digest,
-                               const std::string& payload) {
+void PbftReplica::OnPrePrepare(int view, int64_t seq, std::string_view digest,
+                               std::string_view payload) {
   CatchUpView(view);
   if (view != view_ || seq <= low_watermark_) {
     return;
@@ -365,12 +407,11 @@ void PbftReplica::OnPrePrepare(int view, int64_t seq, const std::string& digest,
   if (seq > next_seq_) {
     next_seq_ = seq;
   }
-  Multicast(StrFormat("P|%d|%lld|%s|%d", view_, static_cast<long long>(seq), digest.c_str(),
-                      id_));
+  Multicast(Encode('|', "P", view_, seq, digest, id_));
   OnPrepare(view_, seq, digest, id_, -1);
 }
 
-void PbftReplica::OnPrepare(int view, int64_t seq, const std::string& digest, int replica,
+void PbftReplica::OnPrepare(int view, int64_t seq, std::string_view digest, int replica,
                             int src_port) {
   CatchUpView(view);
   if (seq <= low_watermark_) {
@@ -387,8 +428,7 @@ void PbftReplica::OnPrepare(int view, int64_t seq, const std::string& digest, in
   if (st.executed && src_port >= 0) {
     // The sender lags behind on a sequence we already executed: gossip our
     // commit back so it can assemble its certificate.
-    SendTo(src_port, StrFormat("C|%d|%lld|%s|%d", view_, static_cast<long long>(seq),
-                               st.digest.c_str(), id_));
+    SendTo(src_port, Encode('|', "C", view_, seq, st.digest, id_));
     return;
   }
   st.digest = digest;
@@ -396,13 +436,12 @@ void PbftReplica::OnPrepare(int view, int64_t seq, const std::string& digest, in
   // prepared(m, v, n): 2f prepares matching the pre-prepare.
   if (static_cast<int>(st.prepares.size()) >= 2 * config_.f && st.commits.count(id_) == 0) {
     st.commits.insert(id_);
-    Multicast(StrFormat("C|%d|%lld|%s|%d", view_, static_cast<long long>(seq), digest.c_str(),
-                        id_));
+    Multicast(Encode('|', "C", view_, seq, digest, id_));
     OnCommit(view, seq, digest, id_, -1);
   }
 }
 
-void PbftReplica::OnCommit(int view, int64_t seq, const std::string& digest, int replica,
+void PbftReplica::OnCommit(int view, int64_t seq, std::string_view digest, int replica,
                            int src_port) {
   CatchUpView(view);
   if (seq <= low_watermark_) {
@@ -417,8 +456,7 @@ void PbftReplica::OnCommit(int view, int64_t seq, const std::string& digest, int
     return;
   }
   if (st.executed && src_port >= 0) {
-    SendTo(src_port, StrFormat("C|%d|%lld|%s|%d", view_, static_cast<long long>(seq),
-                               st.digest.c_str(), id_));
+    SendTo(src_port, Encode('|', "C", view_, seq, st.digest, id_));
     return;
   }
   st.digest = digest;
@@ -448,12 +486,11 @@ void PbftReplica::TryExecute() {
     state_digest_ = Digest(state_digest_ + st.digest);
     // Request payload: "<timestamp>#<client_port>#<op>" (the client id is
     // part of the request, as in PBFT).
-    std::vector<std::string> fields = Split(*st.request, '#');
-    if (fields.size() >= 2) {
+    std::string_view fields[2];
+    if (SplitInto(*st.request, '#', fields) >= 2) {
       auto port = ParseInt(fields[1]);
       if (port) {
-        std::string reply = StrFormat("REPLY|%d|%s|%d|%s", view_, fields[0].c_str(), id_,
-                                      state_digest_.c_str());
+        std::string reply = Encode('|', "REPLY", view_, fields[0], id_, state_digest_);
         SendTo(static_cast<int>(*port), reply);
         reply_cache_[st.digest] = {static_cast<int>(*port), reply};
       }
@@ -470,7 +507,8 @@ void PbftReplica::MaybeCheckpoint() {
   ScopedFrame frame(&libc_.stack(), kModule, "save_checkpoint");
   coverage_.Hit("pbft.checkpoint.body");
   std::string path = StrFormat("/pbft/replica%d.ckpt", id_);
-  frame.set_offset(Site("pbft.checkpoint.fopen"));
+  static const uint32_t kSitePbftCheckpointFopen = PbftBinary().SiteOffset("pbft.checkpoint.fopen");
+  frame.set_offset(kSitePbftCheckpointFopen);
   VFile* f = libc_.FOpen(path, "w");
   if (f == nullptr) {
     // Periodic checkpoints check their fopen; retried next interval.
@@ -479,9 +517,13 @@ void PbftReplica::MaybeCheckpoint() {
   }
   std::string record = StrFormat("%lld %s\n", static_cast<long long>(executed_count_),
                                  state_digest_.c_str());
-  frame.set_offset(Site("pbft.checkpoint.fwrite"));
+  static const uint32_t kSitePbftCheckpointFwrite =
+      PbftBinary().SiteOffset("pbft.checkpoint.fwrite");
+  frame.set_offset(kSitePbftCheckpointFwrite);
   unsigned long written = libc_.FWrite(record.data(), record.size(), f);
-  frame.set_offset(Site("pbft.checkpoint.fclose"));
+  static const uint32_t kSitePbftCheckpointFclose =
+      PbftBinary().SiteOffset("pbft.checkpoint.fclose");
+  frame.set_offset(kSitePbftCheckpointFclose);
   libc_.FClose(f);
   if (written == record.size()) {
     low_watermark_ = executed_count_;
@@ -497,7 +539,7 @@ void PbftReplica::StartViewChange() {
   coverage_.Hit("pbft.viewchange.start");
   view_change_sent_ = true;
   view_change_votes_.insert(id_);
-  Multicast(StrFormat("VC|%d|%d", view_ + 1, id_));
+  Multicast(Encode('|', "VC", view_ + 1, id_));
   OnViewChange(view_ + 1, id_);
 }
 
@@ -550,13 +592,12 @@ void PbftReplica::BecomePrimaryOfNewView() {
   // Re-propose the carried requests under the new view.
   for (auto& [seq, st] : log_) {
     if (!st.executed && st.request != nullptr) {
-      Multicast(StrFormat("PP|%d|%lld|%s|%s", view_, static_cast<long long>(seq),
-                          st.digest.c_str(), st.request->c_str()));
+      Multicast(Encode('|', "PP", view_, seq, st.digest, *st.request));
     }
   }
 }
 
-void PbftReplica::OnNewView(int view, const std::string& carried) {
+void PbftReplica::OnNewView(int view, std::string_view carried) {
   if (view <= view_ - 1 || view % config_.n == id_) {
     return;
   }
@@ -586,7 +627,7 @@ void PbftReplica::Retransmit() {
   if (view_change_sent_) {
     // Keep announcing the vote until the view change completes; lost VC
     // messages must not wedge the protocol.
-    Multicast(StrFormat("VC|%d|%d", view_ + 1, id_));
+    Multicast(Encode('|', "VC", view_ + 1, id_));
   }
   // Re-multicast the highest-phase message for every incomplete sequence, so
   // the protocol makes progress under heavy message loss.
@@ -598,19 +639,16 @@ void PbftReplica::Retransmit() {
       // We have evidence for this sequence but never received the payload:
       // fetch it from the peers (PBFT message retrieval).
       coverage_.Hit("pbft.fetch.missing_payload");
-      Multicast(StrFormat("FETCH|%lld|%d", static_cast<long long>(seq), id_));
+      Multicast(Encode('|', "FETCH", seq, id_));
       continue;
     }
     if (st.commits.count(id_) != 0) {
-      Multicast(StrFormat("C|%d|%lld|%s|%d", view_, static_cast<long long>(seq),
-                          st.digest.c_str(), id_));
+      Multicast(Encode('|', "C", view_, seq, st.digest, id_));
     } else if (st.pre_prepared) {
       if (is_primary() && st.request != nullptr) {
-        Multicast(StrFormat("PP|%d|%lld|%s|%s", view_, static_cast<long long>(seq),
-                            st.digest.c_str(), st.request->c_str()));
+        Multicast(Encode('|', "PP", view_, seq, st.digest, *st.request));
       } else {
-        Multicast(StrFormat("P|%d|%lld|%s|%d", view_, static_cast<long long>(seq),
-                            st.digest.c_str(), id_));
+        Multicast(Encode('|', "P", view_, seq, st.digest, id_));
       }
     }
   }
@@ -620,15 +658,18 @@ void PbftReplica::Shutdown() {
   ScopedFrame frame(&libc_.stack(), kModule, "shutdown_checkpoint");
   coverage_.Hit("pbft.shutdown.body");
   std::string path = StrFormat("/pbft/replica%d.final", id_);
-  frame.set_offset(Site("pbft.shutdown.fopen"));
+  static const uint32_t kSitePbftShutdownFopen = PbftBinary().SiteOffset("pbft.shutdown.fopen");
+  frame.set_offset(kSitePbftShutdownFopen);
   VFile* f = libc_.FOpen(path, "w");
   // BUG (Table 1): the fopen result is not checked before writing the final
   // checkpoint; an injected failure hands fwrite a NULL stream.
   std::string record = StrFormat("final %lld %s\n", static_cast<long long>(executed_count_),
                                  state_digest_.c_str());
-  frame.set_offset(Site("pbft.shutdown.fwrite"));
+  static const uint32_t kSitePbftShutdownFwrite = PbftBinary().SiteOffset("pbft.shutdown.fwrite");
+  frame.set_offset(kSitePbftShutdownFwrite);
   libc_.FWrite(record.data(), record.size(), f);
-  frame.set_offset(Site("pbft.shutdown.fclose"));
+  static const uint32_t kSitePbftShutdownFclose = PbftBinary().SiteOffset("pbft.shutdown.fclose");
+  frame.set_offset(kSitePbftShutdownFclose);
   libc_.FClose(f);
 }
 
@@ -732,11 +773,14 @@ void PbftClient::Step() {
     if (session_keys_.find(src_port) == session_keys_.end()) {
       continue;
     }
-    std::vector<std::string> parts = Split(std::string(buf, static_cast<size_t>(n)), '|');
-    if (parts.size() >= 4 && parts[0] == "REPLY") {
+    // A reply whose numeric fields do not parse is dropped.
+    std::string_view parts[4];
+    if (SplitInto(std::string_view(buf, static_cast<size_t>(n)), '|', parts) >= 4 &&
+        parts[0] == "REPLY") {
       auto ts = ParseInt(parts[2]);
-      if (ts && *ts == timestamp_) {
-        reply_votes_.insert(static_cast<int>(*ParseInt(parts[3])));
+      auto replica = ParseInt(parts[3]);
+      if (ts && replica && *ts == timestamp_) {
+        reply_votes_.insert(static_cast<int>(*replica));
         if (static_cast<int>(reply_votes_.size()) >= config_.f + 1) {
           ++completed_;
           outstanding_ = false;
@@ -755,9 +799,8 @@ void PbftClient::Step() {
     outstanding_ = true;
     broadcast_mode_ = false;
     ticks_since_send_ = 0;
-    std::string payload =
-        StrFormat("%lld#%d#op", static_cast<long long>(timestamp_), kPbftClientPort);
-    std::string msg = StrFormat("REQ|0|%s|%d|0", payload.c_str(), kPbftClientPort);
+    std::string msg = Encode('|', "REQ", 0, Encode('#', timestamp_, kPbftClientPort, "op"),
+                             kPbftClientPort, 0);
     libc_.SendTo(fd_, msg.data(), msg.size(), kPbftBasePort);  // view-0 primary
     return;
   }
@@ -767,9 +810,8 @@ void PbftClient::Step() {
   if (++ticks_since_send_ >= 4) {
     ticks_since_send_ = 0;
     broadcast_mode_ = true;
-    std::string payload =
-        StrFormat("%lld#%d#op", static_cast<long long>(timestamp_), kPbftClientPort);
-    std::string msg = StrFormat("REQ|0|%s|%d|0", payload.c_str(), kPbftClientPort);
+    std::string msg = Encode('|', "REQ", 0, Encode('#', timestamp_, kPbftClientPort, "op"),
+                             kPbftClientPort, 0);
     for (int i = 0; i < config_.n; ++i) {
       libc_.SendTo(fd_, msg.data(), msg.size(), kPbftBasePort + i);
     }

@@ -27,6 +27,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "apps/common/app_binary.h"
@@ -63,6 +64,8 @@ class PbftReplica {
   int64_t executed() const { return executed_count_; }
   bool halted() const { return halted_; }
   int view_changes() const { return view_changes_; }
+  // Hash chain over every executed request digest, in execution order.
+  const std::string& state_digest() const { return state_digest_; }
 
   // Socket bring-up plus session-key establishment: like the Castro-Liskov
   // implementation this stands in for, every pair of nodes shares a symmetric
@@ -97,17 +100,18 @@ class PbftReplica {
 
   void Multicast(const std::string& msg);
   void SendTo(int port, const std::string& msg);
-  void HandleMessage(const std::string& msg, int src_port);
-  void OnRequest(const std::string& payload, int client_port, bool forwarded);
-  void OnPrePrepare(int view, int64_t seq, const std::string& digest,
-                    const std::string& payload);
-  void OnPrepare(int view, int64_t seq, const std::string& digest, int replica, int src_port);
-  void OnCommit(int view, int64_t seq, const std::string& digest, int replica, int src_port);
+  // Decodes one datagram: views into the receive buffer, no copy. The
+  // handlers store only the fields they keep (SeqState::digest, request).
+  void HandleMessage(std::string_view msg, int src_port);
+  void OnRequest(std::string_view payload, int client_port, bool forwarded);
+  void OnPrePrepare(int view, int64_t seq, std::string_view digest, std::string_view payload);
+  void OnPrepare(int view, int64_t seq, std::string_view digest, int replica, int src_port);
+  void OnCommit(int view, int64_t seq, std::string_view digest, int replica, int src_port);
   void CatchUpView(int view);
   void SendStateTo(int port);
-  void OnStateTransfer(int64_t executed, const std::string& digest, int view);
+  void OnStateTransfer(int64_t executed, std::string_view digest, int view);
   void OnViewChange(int view, int replica);
-  void OnNewView(int view, const std::string& carried);
+  void OnNewView(int view, std::string_view carried);
   void TryExecute();
   void MaybeCheckpoint();
   void StartViewChange();

@@ -1,9 +1,9 @@
 #include "util/string_util.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 
 namespace lfi {
 
@@ -19,6 +19,21 @@ std::vector<std::string> Split(std::string_view s, char sep) {
     out.emplace_back(s.substr(start, pos - start));
     start = pos + 1;
   }
+}
+
+size_t SplitInto(std::string_view s, char sep, std::span<std::string_view> out) {
+  size_t n = 0;
+  size_t start = 0;
+  while (n < out.size()) {
+    size_t pos = s.find(sep, start);
+    if (pos == std::string_view::npos) {
+      out[n++] = s.substr(start);
+      break;
+    }
+    out[n++] = s.substr(start, pos - start);
+    start = pos + 1;
+  }
+  return n;
 }
 
 std::vector<std::string> SplitWhitespace(std::string_view s) {
@@ -61,33 +76,45 @@ bool EndsWith(std::string_view s, std::string_view suffix) {
 
 std::optional<int64_t> ParseInt(std::string_view s) {
   s = Trim(s);
+  s = s.substr(0, s.find('\0'));  // a C string ends at its terminator
   if (s.empty()) {
     return std::nullopt;
   }
-  std::string buf(s);
-  char* end = nullptr;
-  errno = 0;
-  int base = 10;
+  bool negative = s[0] == '-';
   size_t skip = (s[0] == '-' || s[0] == '+') ? 1 : 0;
+  int base = 10;
   if (s.size() > skip + 2 && s[skip] == '0' && (s[skip + 1] == 'x' || s[skip + 1] == 'X')) {
     base = 16;
+    skip += 2;
   }
-  long long v = std::strtoll(buf.c_str(), &end, base);
-  if (errno != 0 || end == buf.c_str() || *end != '\0') {
+  // The magnitude is unsigned, so from_chars rejects a second sign.
+  std::string_view digits = s.substr(skip);
+  uint64_t magnitude = 0;
+  auto [end, ec] = std::from_chars(digits.data(), digits.data() + digits.size(), magnitude, base);
+  if (ec != std::errc() || end != digits.data() + digits.size()) {
     return std::nullopt;
   }
-  return static_cast<int64_t>(v);
+  constexpr uint64_t kMaxPositive = static_cast<uint64_t>(INT64_MAX);
+  if (magnitude > kMaxPositive + (negative ? 1 : 0)) {
+    return std::nullopt;
+  }
+  return negative ? static_cast<int64_t>(0 - magnitude) : static_cast<int64_t>(magnitude);
 }
 
 std::string StrFormat(const char* fmt, ...) {
+  // One pass into a stack buffer; a second pass only when the output does
+  // not fit.
+  char buf[256];
   va_list ap;
   va_start(ap, fmt);
   va_list ap2;
   va_copy(ap2, ap);
-  int n = std::vsnprintf(nullptr, 0, fmt, ap);
+  int n = std::vsnprintf(buf, sizeof buf, fmt, ap);
   va_end(ap);
   std::string out;
-  if (n > 0) {
+  if (n > 0 && static_cast<size_t>(n) < sizeof buf) {
+    out.assign(buf, static_cast<size_t>(n));
+  } else if (n > 0) {
     out.resize(static_cast<size_t>(n));
     std::vsnprintf(out.data(), out.size() + 1, fmt, ap2);
   }

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -13,6 +14,12 @@ namespace lfi {
 
 // Splits `s` on `sep`, keeping empty fields.
 std::vector<std::string> Split(std::string_view s, char sep);
+
+// Splits `s` on `sep` into the views `out` has room for: out[i] is Split's
+// i-th field for every i filled, and fields past the last view are dropped.
+// Returns how many views were filled. Allocates nothing; the views point
+// into `s`.
+size_t SplitInto(std::string_view s, char sep, std::span<std::string_view> out);
 
 // Splits on any run of whitespace, dropping empty fields.
 std::vector<std::string> SplitWhitespace(std::string_view s);

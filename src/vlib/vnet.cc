@@ -14,7 +14,7 @@ void VirtualNet::Unbind(int port) { queues_.erase(port); }
 
 bool VirtualNet::IsBound(int port) const { return queues_.count(port) != 0; }
 
-long VirtualNet::Send(int src_port, int dst_port, const std::string& payload) {
+long VirtualNet::Send(int src_port, int dst_port, std::string_view payload) {
   auto it = queues_.find(dst_port);
   if (it == queues_.end()) {
     ++dropped_;
@@ -24,22 +24,22 @@ long VirtualNet::Send(int src_port, int dst_port, const std::string& payload) {
     ++dropped_;
     return static_cast<long>(payload.size());
   }
-  std::string delivered_payload = payload;
+  size_t accepted = payload.size();
   if (partial_send_probability_ > 0.0 && payload.size() >= 2 &&
       rng_.Chance(partial_send_probability_)) {
     // Strict prefix: the wire accepted k bytes, the rest never left the host.
-    size_t k = 1 + static_cast<size_t>(rng_.NextBelow(payload.size() - 1));
-    delivered_payload.resize(k);
+    accepted = 1 + static_cast<size_t>(rng_.NextBelow(payload.size() - 1));
     ++partial_sends_;
   }
-  long accepted = static_cast<long>(delivered_payload.size());
+  // The one copy of the sender's bytes: the queued datagram owns them.
+  Datagram dgram{src_port, std::string(payload.substr(0, accepted))};
   if (tick_delivery_) {
-    staged_.emplace_back(dst_port, Datagram{src_port, std::move(delivered_payload)});
+    staged_.emplace_back(dst_port, std::move(dgram));
   } else {
-    it->second.push_back(Datagram{src_port, std::move(delivered_payload)});
+    it->second.push_back(std::move(dgram));
   }
   ++delivered_;
-  return accepted;
+  return static_cast<long>(accepted);
 }
 
 void VirtualNet::AdvanceTick() {

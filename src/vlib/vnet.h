@@ -14,6 +14,7 @@
 #include <deque>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/rng.h"
@@ -34,10 +35,10 @@ class VirtualNet {
   void Unbind(int port);
   bool IsBound(int port) const;
 
-  // Delivers `payload` to `dst_port`. Returns bytes accepted (always the
-  // payload size unless the destination is unbound or physical loss fires).
+  // Delivers a copy of `payload` to `dst_port`. Returns bytes accepted (the
+  // payload size unless partial-send fires; see below).
   // An unbound destination silently drops, like UDP.
-  long Send(int src_port, int dst_port, const std::string& payload);
+  long Send(int src_port, int dst_port, std::string_view payload);
 
   // Pops the next datagram for `port`; false when the queue is empty.
   bool Receive(int port, Datagram* out);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "analysis/callsite_analyzer.h"
 #include "analysis/cfg.h"
 #include "analysis/dataflow.h"
@@ -286,6 +288,32 @@ end
   DataflowResult flow = AnalyzeReturnValueFlow(BuildPartialCfg(image, kInstrSize));
   EXPECT_TRUE(flow.chk_eq.count(-1));
   EXPECT_GT(flow.iterations, 0);
+}
+
+// A chain of check diamonds, as AppBinaryBuilder emits for consecutive
+// sites checked with kCheckIneq or kCheckZeroEq: each check's error arm
+// falls through into its join, and the join leads to the next check. A
+// worklist that queued a node once per predecessor doubled its copies at
+// every join (2^20 pops for 20 diamonds). Each node now waits in the
+// worklist at most once, so the fixpoint costs a small multiple of the node
+// count.
+TEST(Dataflow, CheckDiamondChainReachesFixpointInLinearIterations) {
+  constexpr int kDiamonds = 24;
+  std::string text = "module m\nfunc f\n  call read\n";
+  for (int i = 0; i < kDiamonds; ++i) {
+    std::string n = std::to_string(i);
+    text += "  cmpi r0, -" + std::to_string(i + 1) + "\n  je .err" + n + "\n  jmp .join" + n +
+            "\n.err" + n + ":\n  movi r1, 1\n.join" + n + ":\n  nop\n";
+  }
+  text += "  ret\nend\n";
+  Image image = Asm(text);
+  PartialCfg cfg = BuildPartialCfg(image, kInstrSize, 1000);
+  ASSERT_EQ(cfg.nodes().size(), static_cast<size_t>(kDiamonds * 5 + 1));
+  DataflowResult flow = AnalyzeReturnValueFlow(cfg);
+  for (int i = 1; i <= kDiamonds; ++i) {
+    EXPECT_TRUE(flow.chk_eq.count(-i)) << "code -" << i;
+  }
+  EXPECT_LE(flow.iterations, static_cast<int>(4 * cfg.nodes().size()));
 }
 
 TEST(Dataflow, MultipleChecksOnDifferentPaths) {

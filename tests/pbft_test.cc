@@ -1,11 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <sstream>
+#include <string>
+
+#include "apps/common/campaign_driver.h"
+#include "apps/common/campaign_spec.h"
 #include "apps/pbft/pbft.h"
 #include "core/controller.h"
 #include "core/distributed.h"
 #include "core/runtime.h"
 #include "core/stock_triggers.h"
 #include "util/errno_codes.h"
+#include "util/sha1.h"
 #include "util/string_util.h"
 
 namespace lfi {
@@ -218,6 +227,97 @@ TEST_F(PbftTest, ViewChangeReplacesPrimary) {
   cluster.RunWorkload(10, 8000);
   EXPECT_GE(cluster.client().completed(), 10);
   EXPECT_GT(cluster.replica(1).view(), 0);  // a view change happened
+}
+
+// Truncated, garbled and non-numeric datagrams from authenticated ports are
+// dropped by the receiver: the protocol keeps serving requests.
+TEST_F(PbftTest, MalformedDatagramsAreDroppedWithoutDisturbingTheProtocol) {
+  VirtualNet net(1);
+  PbftConfig config;
+  PbftCluster cluster(&fs_, &net, config);
+  ASSERT_TRUE(cluster.Start());
+  // Each process's socket is the first descriptor it opened.
+  constexpr int kSocketFd = 0;
+  const char* const kToReplicas[] = {
+      "P|",        "P|0|1",       "P|0|x|d|1",   "P|0|1|d|",     "P|zero|1|d|1", "C|",
+      "C|0|2",     "C|0|2|d|one", "C|0|-|d|1",   "PP|",          "PP|0",         "PP|0|x|d|p",
+      "PP|v|1|d|p", "PP|0|1|d",   "REQ|0|p|",    "REQ|0|p|port", "VC|",          "VC|1|x",
+      "NV|x|1:d:p;", "FETCH|x|1",  "STATE|x|d|0", "",             "|||||"};
+  auto send_garbage = [&] {
+    for (const char* msg : kToReplicas) {
+      for (int i = 0; i < cluster.n(); ++i) {
+        ASSERT_EQ(cluster.client().libc().SendTo(kSocketFd, msg, std::strlen(msg),
+                                                 kPbftBasePort + i),
+                  static_cast<long>(std::strlen(msg)))
+            << msg;
+      }
+    }
+    for (const char* msg : {"REPLY|0|1|", "REPLY|0|1|x", "REPLY|0|x|1|d", "REPLY|"}) {
+      ASSERT_EQ(cluster.replica(1).libc().SendTo(kSocketFd, msg, std::strlen(msg),
+                                                 kPbftClientPort),
+                static_cast<long>(std::strlen(msg)))
+          << msg;
+    }
+  };
+  send_garbage();
+  cluster.RunWorkload(/*requests=*/5, /*max_ticks=*/2000);
+  send_garbage();
+  cluster.RunWorkload(/*requests=*/20, /*max_ticks=*/2000);
+  EXPECT_EQ(cluster.client().completed(), 20);
+  EXPECT_FALSE(cluster.crashed()) << cluster.crash_reason();
+  for (int i = 0; i < cluster.n(); ++i) {
+    EXPECT_GE(cluster.replica(i).executed(), 20) << "replica " << i;
+    EXPECT_FALSE(cluster.replica(i).halted()) << "replica " << i;
+  }
+}
+
+// --- pinned bytes ---------------------------------------------------------
+// pbft's wire encoding decides the message timing every fault lands on, so
+// it is part of the journal-identity contract. These SHA-1s were recorded
+// before the encoder and decoder moved off printf and per-field strings; a
+// change that moves them changes the protocol's bytes, and must say why.
+
+std::string FileSha1(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream bytes;
+  bytes << in.rdbuf();
+  return Sha1::HexDigest(bytes.str());
+}
+
+std::string JournalSha1(CampaignSpec spec, const char* name) {
+  spec.journal_path = ::testing::TempDir() + name;
+  std::remove(spec.journal_path.c_str());
+  std::string error;
+  EXPECT_TRUE(CampaignDriver(spec).Run(&error).has_value()) << error;
+  std::string digest = FileSha1(spec.journal_path);
+  std::remove(spec.journal_path.c_str());
+  return digest;
+}
+
+TEST(PbftPinnedBytes, RandomExploreJournals) {
+  CampaignSpec spec{.system = "pbft",
+                    .mode = CampaignMode::kExplore,
+                    .strategy = ExploreStrategy::kRandom,
+                    .budget = 64};
+  spec.seed = 1001;
+  EXPECT_EQ(JournalSha1(spec, "pbft_pin_1001.lfij"), "d07513038dfd28a871e428510d09eba21f5f7900");
+  spec.seed = 1002;
+  EXPECT_EQ(JournalSha1(spec, "pbft_pin_1002.lfij"), "02a94ef0f711e3d02ffb7fa0aa7aac07c40ef7d1");
+}
+
+TEST(PbftPinnedBytes, Table1Journal) {
+  EXPECT_EQ(JournalSha1({.system = "pbft", .mode = CampaignMode::kTable1}, "pbft_pin_t1.lfij"),
+            "1dc01ebdc7a8d361c69d8aeff7e6bd5c2d65b101");
+}
+
+TEST(PbftPinnedBytes, FaultFreeStateDigest) {
+  VirtualFs fs;
+  VirtualNet net(1);
+  PbftCluster cluster(&fs, &net, PbftConfig{});
+  ASSERT_TRUE(cluster.Start());
+  EXPECT_EQ(cluster.RunWorkload(/*requests=*/20, /*max_ticks=*/2000), 101);
+  EXPECT_EQ(cluster.replica(0).executed(), 20);
+  EXPECT_EQ(cluster.replica(0).state_digest(), "194157e9e3d3c205");
 }
 
 }  // namespace

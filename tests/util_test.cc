@@ -1,6 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cerrno>
+#include <cstdint>
+#include <cstdlib>
+#include <optional>
 #include <set>
+#include <span>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "util/errno_codes.h"
 #include "util/rng.h"
@@ -23,6 +32,19 @@ TEST(StringUtil, SplitSingleField) {
   auto parts = Split("abc", ',');
   ASSERT_EQ(parts.size(), 1u);
   EXPECT_EQ(parts[0], "abc");
+}
+
+TEST(StringUtil, SplitIntoMatchesSplitUpToItsRoom) {
+  for (std::string_view text : {"", "a", "a,,b,", ",", "x,y,z,w,v,u", "one,two"}) {
+    std::vector<std::string> whole = Split(text, ',');
+    std::string_view views[4];
+    size_t n = SplitInto(text, ',', views);
+    ASSERT_EQ(n, std::min<size_t>(whole.size(), 4)) << text;
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(views[i], whole[i]) << text << " field " << i;
+    }
+  }
+  EXPECT_EQ(SplitInto("a,b", ',', std::span<std::string_view>()), 0u);
 }
 
 TEST(StringUtil, SplitWhitespaceDropsEmpty) {
@@ -62,6 +84,58 @@ TEST(StringUtil, ParseIntRejectsGarbage) {
   EXPECT_FALSE(ParseInt("12x").has_value());
   EXPECT_FALSE(ParseInt("abc").has_value());
   EXPECT_FALSE(ParseInt("1 2").has_value());
+}
+
+// The strtoll-based parser ParseInt must match: trim, optional sign, 0x/0X
+// hex, and no value on overflow or trailing bytes.
+std::optional<int64_t> StrtollReference(std::string_view s) {
+  s = Trim(s);
+  if (s.empty()) {
+    return std::nullopt;
+  }
+  std::string buf(s);
+  int base = 10;
+  size_t skip = (s[0] == '-' || s[0] == '+') ? 1 : 0;
+  if (s.size() > skip + 2 && s[skip] == '0' && (s[skip + 1] == 'x' || s[skip + 1] == 'X')) {
+    base = 16;
+  }
+  char* end = nullptr;
+  errno = 0;
+  long long v = std::strtoll(buf.c_str(), &end, base);
+  if (errno != 0 || end == buf.c_str() || *end != '\0') {
+    return std::nullopt;
+  }
+  return static_cast<int64_t>(v);
+}
+
+TEST(StringUtil, ParseIntMatchesStrtoll) {
+  using namespace std::string_view_literals;
+  const std::string_view corpus[] = {
+      "9223372036854775807", "9223372036854775808", "-9223372036854775808",
+      "-9223372036854775809", "18446744073709551616", "0x7fffffffffffffff",
+      "0x8000000000000000", "-0x8000000000000000", "-0x8000000000000001",
+      "+5", "--5", "+-5", "-+5", "++5", "-", "+", "0x", "0X", "-0x", "0x-5", "0x+5",
+      "-0x10", "+0X1f", "0x0x5", " 12 ", "\t-12\n", "1 2", "", "   ", "0", "-0", "007",
+      "12x", "x12", "0xg", "1e5", "5\0"sv, "5\0junk"sv, " 5 \0"sv, "\0"sv, "0x\0"sv};
+  for (std::string_view text : corpus) {
+    EXPECT_EQ(ParseInt(text), StrtollReference(text)) << "input: \"" << text << "\"";
+  }
+  EXPECT_EQ(ParseInt("-9223372036854775808").value(), INT64_MIN);
+  EXPECT_EQ(ParseInt("9223372036854775807").value(), INT64_MAX);
+  EXPECT_FALSE(ParseInt("9223372036854775808").has_value());
+  EXPECT_EQ(ParseInt("-0x10").value(), -16);
+  EXPECT_FALSE(ParseInt("0x-5").has_value());
+}
+
+// Output lengths around and far past the stack buffer StrFormat formats into
+// first (every length from 0 to 1100 bytes), including the one-pass and the
+// two-pass paths and their boundary.
+TEST(StringUtil, StrFormatAtEveryLengthAroundItsBuffer) {
+  for (size_t n = 0; n <= 1100; ++n) {
+    std::string text(n, 'a' + static_cast<char>(n % 26));
+    ASSERT_EQ(StrFormat("%s", text.c_str()), text) << "length " << n;
+    ASSERT_EQ(StrFormat("%s|%d", text.c_str(), 7), text + "|7") << "length " << n;
+  }
 }
 
 TEST(StringUtil, StrFormat) {
